@@ -85,41 +85,32 @@ let key_past key tuple = Value.compare (Tuple.key tuple) key > 0
 (* Initial relation contents under each semantics.  Prepend keeps load
    order; Ordered_unique sorts by key and keeps the first tuple per key. *)
 let initial_state semantics spec =
-  let prepare tuples =
+  let prepare =
     match semantics with
-    | Prepend -> tuples
-    | Ordered_unique ->
-        let sorted = List.stable_sort Tuple.compare_key tuples in
-        let rec dedup = function
-          | t1 :: t2 :: rest when Value.equal (Tuple.key t1) (Tuple.key t2) ->
-              dedup (t1 :: rest)
-          | t1 :: rest -> t1 :: dedup rest
-          | [] -> []
-        in
-        dedup sorted
+    | Prepend -> Fun.id
+    | Ordered_unique -> Tuple.sort_keep_first
   in
   List.map
     (fun schema ->
-      let tuples =
-        match List.assoc_opt (Schema.name schema) spec.initial with
-        | Some ts -> ts
-        | None -> []
-      in
-      (schema, prepare tuples))
+      let tuples = List.assoc_opt (Schema.name schema) spec.initial in
+      (schema, prepare (Option.value tuples ~default:[])))
     spec.schemas
 
-(* The durable image of [initial_state Ordered_unique]: [Database.load]
-   keeps the first tuple per duplicate key, so a WAL genesis checkpoint
-   written from this database matches what every ordered-unique executor
-   starts from. *)
+(* The durable image of [initial_state Ordered_unique], bulk-built per
+   relation: [Relation.of_tuples] keeps the first tuple per duplicate key, so
+   a WAL genesis checkpoint written from this database matches what every
+   ordered-unique executor starts from.  run_repair and run_sharded build
+   it on every call, once per batch when a caller microbatches, so it
+   must cost O(n log n), not a quadratic list-insert fold. *)
 let initial_database spec =
   List.fold_left
     (fun db schema ->
-      match List.assoc_opt (Schema.name schema) spec.initial with
+      let name = Schema.name schema in
+      match List.assoc_opt name spec.initial with
       | None -> db
       | Some tuples -> (
-          match Database.load db ~rel:(Schema.name schema) tuples with
-          | Ok db -> db
+          match Relation.of_tuples schema tuples with
+          | Ok rel -> Database.replace db name rel
           | Error e -> invalid_arg ("Pipeline.initial_database: " ^ e)))
     (Database.create spec.schemas)
     spec.schemas

@@ -57,11 +57,13 @@ type db_spec = {
 val db_spec_of_workload : Fdb_workload.Workload.t -> db_spec
 
 val initial_database : db_spec -> Database.t
-(** The durable image of the initial state: relations as keyed sets, the
-    first tuple kept per duplicate key — exactly the state every
-    ordered-unique executor starts from.  Pass this to
-    {!Fdb_wal.Wal.create} to open a durability sink ([?wal] below) whose
-    genesis checkpoint matches the run.
+(** The durable image of the initial state: relations as keyed sets on the
+    default list backend, the first tuple kept per duplicate key — exactly
+    the state every ordered-unique executor starts from, and value-equal to
+    a {!Database.load} fold, but built by {!Relation.of_tuples} in
+    O(n log n) per relation ({!run_repair} and {!run_sharded} build it on
+    every call).  Pass this to {!Fdb_wal.Wal.create} to open a durability
+    sink ([?wal] below) whose genesis checkpoint matches the run.
     @raise Invalid_argument when the spec's initial tuples do not match
     their schema. *)
 

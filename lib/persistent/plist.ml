@@ -5,9 +5,22 @@ module Make (Elt : Ordered.S) = struct
 
   let empty = Nil
 
-  let rec of_sorted = function [] -> Nil | x :: r -> Cons (x, of_sorted r)
+  (* Both constructors cons the cells back to front from the reversed input:
+     one tail-recursive pass, so million-element images cannot overflow the
+     stack. *)
+  let of_sorted xs =
+    List.fold_left
+      (fun r x ->
+        (match r with
+        | Cons (next, _) when Elt.compare x next >= 0 ->
+            invalid_arg "Plist.of_sorted: input not strictly ascending"
+        | _ -> ());
+        Cons (x, r))
+      Nil (List.rev xs)
 
-  let of_list xs = of_sorted (List.sort Elt.compare xs)
+  let of_list xs =
+    List.fold_left (fun r x -> Cons (x, r)) Nil
+      (List.rev (List.sort Elt.compare xs))
 
   let to_list t =
     let rec go acc = function

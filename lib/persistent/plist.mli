@@ -14,6 +14,11 @@ module Make (Elt : Ordered.S) : sig
   val of_list : Elt.t list -> t
   (** Sorts the input. *)
 
+  val of_sorted : Elt.t list -> t
+  (** Build from a strictly ascending list in one O(n) tail-recursive pass,
+      without the per-element prefix copy of repeated {!insert}.
+      @raise Invalid_argument if the input is not strictly ascending. *)
+
   val to_list : t -> Elt.t list
 
   val size : t -> int

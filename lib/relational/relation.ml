@@ -96,11 +96,13 @@ let find_key r key =
   | B b -> BT.find (probe key) b
   | C c -> CO.find (probe key) c
 
+let schema_error schema tuple =
+  Format.asprintf "tuple %a does not match schema %a" Tuple.pp tuple Schema.pp
+    schema
+
 let insert ?meter r tuple =
   if not (Schema.matches r.schema tuple) then
-    Error
-      (Format.asprintf "tuple %a does not match schema %a" Tuple.pp tuple
-         Schema.pp r.schema)
+    Error (schema_error r.schema tuple)
   else if mem_key r (Tuple.key tuple) then Ok (r, false)
   else
     let repr =
@@ -208,30 +210,21 @@ let update ?meter ?lo ?hi r rewrite =
       let (c', n) = CO.rewrite ?meter ~ge_lo ~le_hi f c in
       ((if n = 0 then r else { r with repr = C c' }), n)
 
-let of_tuples ?backend schema tuples =
+let of_tuples ?(backend = List_backend) schema tuples =
+  (* Bulk paths validate in input order (the insert fold's first error),
+     then sort and keep the first tuple per key, O(n log n): inserts would
+     copy a list prefix or a column chunk per tuple.  Trees keep their
+     O(n log n) insert fold, whose shapes [shared_units] measures. *)
+  let bulk build =
+    match List.find_opt (fun tup -> not (Schema.matches schema tup)) tuples with
+    | Some tup -> Error (schema_error schema tup)
+    | None -> Ok { schema; back = backend; repr = build () }
+  in
   match backend with
-  | Some (Column_backend chunk) -> (
-      (* bulk path: validate, then sort-and-pack in one pass — the
-         sequential insert fold below would rebuild a chunk per tuple *)
-      let rec validate = function
-        | [] -> Ok ()
-        | tup :: rest ->
-            if Schema.matches schema tup then validate rest
-            else
-              Error
-                (Format.asprintf "tuple %a does not match schema %a" Tuple.pp
-                   tup Schema.pp schema)
-      in
-      match validate tuples with
-      | Error e -> Error e
-      | Ok () ->
-          Ok
-            {
-              schema;
-              back = Column_backend chunk;
-              repr = C (CO.of_list ~chunk tuples);
-            })
-  | _ ->
+  | List_backend ->
+      bulk (fun () -> L (PL.of_sorted (Tuple.sort_keep_first tuples)))
+  | Column_backend chunk -> bulk (fun () -> C (CO.of_list ~chunk tuples))
+  | Avl_backend | Two3_backend | Btree_backend _ ->
       let rec go r = function
         | [] -> Ok r
         | tup :: rest -> (
@@ -239,7 +232,7 @@ let of_tuples ?backend schema tuples =
             | Ok (r', _) -> go r' rest
             | Error e -> Error e)
       in
-      go (create ?backend schema) tuples
+      go (create ~backend schema) tuples
 
 let shared_units ~old r =
   match (old.repr, r.repr) with

@@ -85,8 +85,11 @@ val update :
     when it is zero. *)
 
 val of_tuples : ?backend:backend -> Schema.t -> Tuple.t list -> (t, string) result
-(** Bulk load; fails on the first schema mismatch.  Duplicate keys keep the
-    first occurrence. *)
+(** Bulk load, value-equal to folding {!insert} over the tuples from
+    {!create}: [Error] names the first schema mismatch in input order, and a
+    duplicate key keeps its first occurrence.  The list and column backends
+    validate, stable-sort by key and build in one pass, O(n log n); the tree
+    backends keep the insert fold, also O(n log n). *)
 
 val shared_units : old:t -> t -> int * int
 (** [(shared, total)] physical sharing (cells, nodes, pages or chunks, per

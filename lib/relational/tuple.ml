@@ -33,6 +33,12 @@ let equal a b = compare a b = 0
 
 let compare_key a b = Value.compare (key a) (key b)
 
+let sort_keep_first tuples =
+  let keep acc t =
+    match acc with prev :: _ when compare_key prev t = 0 -> acc | _ -> t :: acc
+  in
+  List.rev (List.fold_left keep [] (List.stable_sort compare_key tuples))
+
 let pp ppf t =
   Format.fprintf ppf "(%a)"
     (Format.pp_print_array

@@ -23,6 +23,11 @@ val equal : t -> t -> bool
 val compare_key : t -> t -> int
 (** Key components only. *)
 
+val sort_keep_first : t list -> t list
+(** Stable sort by key keeping the first tuple of each key: the state a
+    sequential insert fold leaves, which skips keys already present.
+    Strictly ascending in the key; O(n log n), tail-recursive. *)
+
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

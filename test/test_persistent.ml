@@ -60,6 +60,21 @@ let test_plist_find () =
   Alcotest.(check (option int)) "absent" None
     (IntList.find (fun x -> x > 100) l)
 
+let test_plist_of_sorted () =
+  (* a million cells: building must not recurse once per element *)
+  let n = 1_000_000 in
+  let l = IntList.of_sorted (List.init n Fun.id) in
+  Alcotest.(check int) "size" n (IntList.size l);
+  Alcotest.(check bool) "ordered" true (IntList.invariant l);
+  Alcotest.(check (list int)) "round-trips" [ 1; 4; 9 ]
+    (IntList.to_list (IntList.of_sorted [ 1; 4; 9 ]));
+  List.iter
+    (fun xs ->
+      Alcotest.check_raises "not strictly ascending"
+        (Invalid_argument "Plist.of_sorted: input not strictly ascending")
+        (fun () -> ignore (IntList.of_sorted xs)))
+    [ [ 2; 1 ]; [ 1; 1 ]; [ 1; 5; 3; 7 ] ]
+
 let prop_plist_model =
   QCheck2.Test.make ~name:"plist == model" ~count:300 gen_ops (fun ops ->
       let l =
@@ -365,6 +380,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_plist_basics;
           Alcotest.test_case "sharing" `Quick test_plist_sharing;
           Alcotest.test_case "find" `Quick test_plist_find;
+          Alcotest.test_case "of_sorted" `Quick test_plist_of_sorted;
           Alcotest.test_case "120 seeded prefix-copy accounting" `Quick
             test_plist_prefix_copy_accounting;
           QCheck_alcotest.to_alcotest prop_plist_model;

@@ -232,6 +232,124 @@ let prop_backends_agree =
         [ Relation.Avl_backend; Relation.Two3_backend; Relation.Btree_backend 4;
           Relation.Column_backend 4 ])
 
+(* -- bulk loading ------------------------------------------------------------ *)
+
+(* The specification [Relation.of_tuples] must meet: a sequential insert
+   fold from the empty relation, stopping at the first error. *)
+let insert_fold ?backend schema tuples =
+  List.fold_left
+    (fun acc t -> Result.bind acc (fun r -> Result.map fst (Relation.insert r t)))
+    (Ok (Relation.create ?backend schema))
+    tuples
+
+(* Unsorted tuples over a small key range (so keys repeat with different
+   payloads), with zero to two schema-mismatched tuples spliced in. *)
+let gen_load =
+  QCheck2.Gen.(
+    let good =
+      map2 (fun k c -> tup k (String.make 1 c)) (int_range 0 15)
+        (char_range 'a' 'e')
+    and bad =
+      oneofl
+        [ Tuple.make [ v_str "k"; v_str "v" ]; Tuple.make [ v_int 3 ];
+          Tuple.make [ v_int 4; v_int 4 ] ]
+    in
+    let* tuples = list_size (int_range 0 40) good in
+    let* bads = list_size (int_range 0 2) (pair (int_range 0 40) bad) in
+    return
+      (List.fold_left
+         (fun ts (at, b) ->
+           let at = min at (List.length ts) in
+           List.filteri (fun i _ -> i < at) ts
+           @ (b :: List.filteri (fun i _ -> i >= at) ts))
+         tuples bads))
+
+let print_tuples ts = String.concat "; " (List.map Tuple.to_string ts)
+
+let same_load a b =
+  match (a, b) with
+  | (Ok x, Ok y) ->
+      Relation.backend x = Relation.backend y
+      && List.equal Tuple.equal (Relation.to_list x) (Relation.to_list y)
+  | (Error x, Error y) -> String.equal x y
+  | _ -> false
+
+let prop_of_tuples_is_insert_fold =
+  QCheck2.Test.make ~name:"of_tuples == insert fold on every backend"
+    ~count:300 ~print:print_tuples gen_load (fun tuples ->
+      List.for_all
+        (fun backend ->
+          same_load
+            (Relation.of_tuples ~backend schema tuples)
+            (insert_fold ~backend schema tuples))
+        backends
+      && same_load (Relation.of_tuples schema tuples) (insert_fold schema tuples))
+
+(* The durable image as it was built before bulk loading: a
+   [Database.load] fold per relation. *)
+let load_fold_database (spec : Fdb.Pipeline.db_spec) =
+  List.fold_left
+    (fun db s ->
+      match List.assoc_opt (Schema.name s) spec.initial with
+      | None -> db
+      | Some ts -> (
+          match Database.load db ~rel:(Schema.name s) ts with
+          | Ok db -> db
+          | Error e -> invalid_arg ("Pipeline.initial_database: " ^ e)))
+    (Database.create spec.schemas)
+    spec.schemas
+
+let schema_s =
+  Schema.make ~name:"S" ~cols:[ ("key", Schema.CInt); ("val", Schema.CStr) ]
+
+let prop_initial_database_is_load_fold =
+  QCheck2.Test.make ~name:"initial_database == Database.load fold" ~count:200
+    QCheck2.Gen.(triple gen_load gen_load bool)
+    (fun (r, s, with_s) ->
+      let spec =
+        {
+          Fdb.Pipeline.schemas = [ schema; schema_s ];
+          initial = (("R", r) :: (if with_s then [ ("S", s) ] else []));
+        }
+      in
+      let build f = try Ok (f spec) with Invalid_argument e -> Error e in
+      match (build Fdb.Pipeline.initial_database, build load_fold_database) with
+      | (Ok a, Ok b) ->
+          Database.names a = Database.names b
+          && List.for_all
+               (fun name ->
+                 same_load
+                   (Option.to_result ~none:"" (Database.relation a name))
+                   (Option.to_result ~none:"" (Database.relation b name)))
+               (Database.names a)
+      | (Error a, Error b) -> String.equal a b
+      | _ -> false)
+
+let test_initial_database_scale () =
+  (* 100k tuples in a scrambled key order with every tenth key repeated:
+     a quadratic list-insert fold takes minutes here, the bulk build well
+     under a second.  No timing is asserted; a regression shows as a hang. *)
+  let n = 100_000 in
+  let tuples =
+    List.init n (fun i ->
+        let k = i * 7919 mod n in
+        tup (if k mod 10 = 0 then k + 1 else k) (string_of_int i))
+  in
+  let db =
+    Fdb.Pipeline.initial_database
+      { Fdb.Pipeline.schemas = [ schema ]; initial = [ ("R", tuples) ] }
+  in
+  match Database.relation db "R" with
+  | None -> Alcotest.fail "relation R missing"
+  | Some r ->
+      Alcotest.(check string) "list backend" "list"
+        (Relation.backend_name (Relation.backend r));
+      Alcotest.(check int) "one tuple per key" (n - (n / 10)) (Relation.size r);
+      (* keep-first: key 1 arrives from i = 0 (k = 0 bumped) before i with k = 1 *)
+      Alcotest.(check (option tuple_t)) "first occurrence kept"
+        (Some (tup 1 "0"))
+        (Relation.find_key r (v_int 1))
+
 (* -- algebra ---------------------------------------------------------------- *)
 
 let test_algebra_project () =
@@ -358,6 +476,13 @@ let () =
           Alcotest.test_case "sharing backend mismatch" `Quick
             test_relation_sharing_backend_mismatch;
           QCheck_alcotest.to_alcotest prop_backends_agree;
+        ] );
+      ( "bulk-load",
+        [
+          QCheck_alcotest.to_alcotest prop_of_tuples_is_insert_fold;
+          QCheck_alcotest.to_alcotest prop_initial_database_is_load_fold;
+          Alcotest.test_case "100k-tuple initial_database" `Quick
+            test_initial_database_scale;
         ] );
       ( "algebra",
         [
