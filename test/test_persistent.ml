@@ -380,10 +380,10 @@ let () =
           Alcotest.test_case "basics" `Quick test_plist_basics;
           Alcotest.test_case "sharing" `Quick test_plist_sharing;
           Alcotest.test_case "find" `Quick test_plist_find;
-          Alcotest.test_case "of_sorted" `Quick test_plist_of_sorted;
           Alcotest.test_case "120 seeded prefix-copy accounting" `Quick
             test_plist_prefix_copy_accounting;
           QCheck_alcotest.to_alcotest prop_plist_model;
+          Alcotest.test_case "of_sorted" `Quick test_plist_of_sorted;
         ] );
       ( "avl",
         [

@@ -477,7 +477,7 @@ let () =
             test_relation_sharing_backend_mismatch;
           QCheck_alcotest.to_alcotest prop_backends_agree;
         ] );
-      ( "bulk-load",
+      ( "bulkload",
         [
           QCheck_alcotest.to_alcotest prop_of_tuples_is_insert_fold;
           QCheck_alcotest.to_alcotest prop_initial_database_is_load_fold;
