@@ -22,6 +22,10 @@ case "$BENCH" in */*) ;; *) BENCH="./$BENCH" ;; esac
 # Repair smoke: a short speculative sweep — parallel batches, traced inline
 # run and sequential engine must agree, traces must satisfy every law.
 "$FDBSIM" repair --seed 1 --sweep 3 --domains 2 > /dev/null
+# Parallel smoke: the domain-pool executor against the deterministic engine
+# and the sequential reference, plus its indexed legs (pooled and traced)
+# with index coherence and every trace law asserted.
+"$FDBSIM" par --seed 1 --sweep 5 --domains 2 > /dev/null
 # Durability smoke: crash-restart recovery under every disk fault kind and
 # checkpoint interval (2 seeds per cell), and the restart-recovery bench.
 "$FDBSIM" recover-disk --seed 1 --sweep 2 > /dev/null

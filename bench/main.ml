@@ -7,7 +7,7 @@
                      ablation-semantics|plan|trace-overhead|micro|all]
                     (default: all)
 
-   Usage also covers `par` (scan-flood executor scaling -> BENCH_par.json),
+   Usage also covers `par` (parallel executor scaling -> BENCH_par.json),
    `repair` (speculative repair executor scaling -> BENCH_repair.json) and
    `shard` (sharded executor spine share/bypass rate -> BENCH_shard.json).
 
@@ -636,7 +636,7 @@ let index_bench ~quick ~seed ~out =
           in
           let plain q = Txn.translate q in
           let indexed descs q =
-            Txn.translate_indexed (Ix.Session.use (session_of descs)) q
+            Txn.translate ~index:(Ix.Session.use (session_of descs)) q
           in
           let check what a b =
             let (ra, _) = a db and (rb, _) = b db in
@@ -731,7 +731,7 @@ let index_bench ~quick ~seed ~out =
   close_out oc;
   Printf.printf "\nwrote %s\n" out
 
-(* -- par: scan-flood speedup on real domains --------------------------------- *)
+(* -- par: read-task speedup on real domains ------------------------------- *)
 
 let par_bench ~quick ~seed ~out =
   let module Schema = Fdb_relational.Schema in
@@ -739,7 +739,7 @@ let par_bench ~quick ~seed ~out =
   let module Value = Fdb_relational.Value in
   let module Pool = Fdb_par.Pool in
   section
-    (Printf.sprintf "Parallel executor: scan-flood wall-clock by domains (%s)"
+    (Printf.sprintf "Parallel executor: read-task wall-clock by domains (%s)"
        (if quick then "quick" else "full"));
   let n = if quick then 20_000 else 60_000 in
   let rand = Random.State.make [| seed; 0xbe7c |] in
@@ -757,8 +757,9 @@ let par_bench ~quick ~seed ~out =
       initial = [ ("R", tuples) ];
     }
   in
-  (* A read-only flood: every query scans the whole relation, so the work
-     is embarrassingly chunkable and the pool is the only variable. *)
+  (* Read-only traffic: every query is one pool task over the same
+     version, so the reads are independent and the pool is the only
+     variable. *)
   let nq = if quick then 12 else 24 in
   let tagged =
     List.init nq (fun i ->
@@ -772,7 +773,9 @@ let par_bench ~quick ~seed ~out =
         in
         (i mod 4, Fdb_query.Parser.parse_exn src))
   in
-  let expected = Pipeline.reference spec tagged in
+  let expected =
+    Pipeline.reference ~semantics:Pipeline.Ordered_unique spec tagged
+  in
   let check_responses what rs =
     if
       not
@@ -792,7 +795,7 @@ let par_bench ~quick ~seed ~out =
     let best = ref infinity in
     for _ = 1 to repeats do
       let t0 = Unix.gettimeofday () in
-      let r = Pipeline.run_parallel ~domains ~chunk:1024 spec tagged in
+      let r = Pipeline.run_parallel ~domains spec tagged in
       let dt = Unix.gettimeofday () -. t0 in
       check_responses (Printf.sprintf "%d-domain run" domains)
         r.Pipeline.par_responses;

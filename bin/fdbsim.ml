@@ -13,7 +13,7 @@
      recover    — crash-failover sweeps through the replicated pair
      trace      — capture a run as Chrome trace_event JSON + invariants
      stats      — metrics registry snapshot after a seeded sweep
-     par        — differential sweeps of the domain-parallel flood executor
+     par        — differential sweeps of the domain-parallel executor
      repair     — differential sweeps of the speculative repair executor
      shard      — cross-shard differential sweeps of the sharded executor
      recover-disk — crash-restart sweeps of the durable version log
@@ -364,7 +364,7 @@ let index_cmd =
                 let (r1, db1) = Txn.translate q !plain in
                 plain := db1;
                 let (r2, db2) =
-                  Txn.translate_indexed (Ix.Session.use session) q !indexed
+                  Txn.translate ~index:(Ix.Session.use session) q !indexed
                 in
                 indexed := db2;
                 if not (Txn.response_equal r1 r2) then begin
@@ -973,21 +973,6 @@ let par_cmd =
       & info [ "domains" ]
           ~doc:"Worker domains (default: recommended_domain_count - 1).")
   in
-  let chunk =
-    Arg.(
-      value & opt int 16
-      & info [ "chunk" ] ~doc:"Scan flood granularity in tuples.")
-  in
-  let semantics =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("prepend", Pipeline.Prepend);
-               ("ordered", Pipeline.Ordered_unique) ])
-          Pipeline.Prepend
-      & info [ "semantics" ] ~doc:"Insert semantics: $(b,prepend) or $(b,ordered).")
-  in
   let topo =
     Arg.(
       value & opt (some topology_conv) None
@@ -996,7 +981,7 @@ let par_cmd =
             "Also run the engine on this simulated machine topology and \
              include it in the comparison.")
   in
-  let go seed txns clients relations tuples sweep domains chunk semantics topo =
+  let go seed txns clients relations tuples sweep domains topo =
     (try
        ignore
          (Gen.generate
@@ -1013,10 +998,8 @@ let par_cmd =
         Format.eprintf "fdbsim par: domains must be in 1..128@.";
         exit 2
     | _ -> ());
-    if chunk < 1 then begin
-      Format.eprintf "fdbsim par: chunk must be >= 1@.";
-      exit 2
-    end;
+    (* The parallel executor runs Txn over keyed sets. *)
+    let semantics = Pipeline.Ordered_unique in
     Fdb_obs.Metrics.reset ();
     let divergences = ref 0 in
     let tasks = ref 0 and steals = ref 0 and ndomains = ref 0 in
@@ -1052,7 +1035,7 @@ let par_cmd =
               (Merge.merge (Merge.Seeded ((7 * s) + 1)) sc.Gen.streams)
           in
           let ideal = Pipeline.run ~semantics spec tagged in
-          let par = Pipeline.run_parallel ~semantics ~chunk ~pool spec tagged in
+          let par = Pipeline.run_parallel ~pool spec tagged in
           tasks := par.Pipeline.par_tasks;
           steals := par.Pipeline.par_steals;
           ndomains := par.Pipeline.par_domains;
@@ -1075,46 +1058,55 @@ let par_cmd =
               compare_streams ~seed:s ~what:"simulated machine"
                 machine.Pipeline.responses par.Pipeline.par_responses)
             topo;
-          (* Indexed ordered leg: the same merged stream under keyed-set
-             semantics with the default catalog maintained inline on the
-             dispatch thread.  Responses must match the sequential
-             reference, the final store a fresh rebuild from the final
-             database, and the maintenance events the lockstep trace law. *)
+          (* Indexed legs: the same merged stream with the default catalog
+             maintained inline on the dispatch thread — once on the pool,
+             once traced (reads inline).  Responses must match the
+             sequential reference, the final store a fresh rebuild from the
+             final database, and the traced run's maintenance events the
+             lockstep trace law. *)
           let module Ix = Fdb_index.Index in
-          let session =
-            Ix.Session.create_exn
-              (Ix.Catalog.default_for sc.Gen.schemas)
-              (Pipeline.initial_database spec)
-          in
-          let (ipar, events) =
-            Fdb_obs.Trace.record (fun () ->
-                Pipeline.run_parallel ~semantics:Pipeline.Ordered_unique
-                  ~chunk ~pool ~index:session spec tagged)
-          in
-          compare_streams ~seed:s ~what:"sequential reference (indexed, ordered)"
-            (Pipeline.reference ~semantics:Pipeline.Ordered_unique spec tagged)
-            ipar.Pipeline.par_responses;
-          (match
-             Ix.Store.coherent
-               (Ix.Session.store session)
-               (Pipeline.initial_database
-                  { spec with Pipeline.initial = ipar.Pipeline.par_final_db })
-           with
-          | Ok () -> ()
-          | Error e ->
-              incr divergences;
-              Format.printf "seed %d: index incoherence: %s@." s e);
           List.iter
-            (fun v ->
-              incr divergences;
-              Format.printf "seed %d: %a@." s
-                Fdb_check.Trace_oracle.pp_violation v)
-            (Fdb_check.Trace_oracle.check events)
+            (fun traced ->
+              let session =
+                Ix.Session.create_exn
+                  (Ix.Catalog.default_for sc.Gen.schemas)
+                  (Pipeline.initial_database spec)
+              in
+              let run () =
+                Pipeline.run_parallel ~pool ~index:session spec tagged
+              in
+              let (ipar, events) =
+                if traced then Fdb_obs.Trace.record run else (run (), [])
+              in
+              compare_streams ~seed:s
+                ~what:
+                  (if traced then "sequential reference (indexed, traced)"
+                   else "sequential reference (indexed)")
+                (Pipeline.reference ~semantics spec tagged)
+                ipar.Pipeline.par_responses;
+              (match
+                 Ix.Store.coherent
+                   (Ix.Session.store session)
+                   (Pipeline.initial_database
+                      { spec with
+                        Pipeline.initial = ipar.Pipeline.par_final_db })
+               with
+              | Ok () -> ()
+              | Error e ->
+                  incr divergences;
+                  Format.printf "seed %d: index incoherence: %s@." s e);
+              List.iter
+                (fun v ->
+                  incr divergences;
+                  Format.printf "seed %d: %a@." s
+                    Fdb_check.Trace_oracle.pp_violation v)
+                (Fdb_check.Trace_oracle.check events))
+            [ false; true ]
         done);
     if !divergences = 0 then begin
       Format.printf
         "par: %d seeds, every response stream identical across executors; \
-         indexes coherent and lockstep under the ordered leg@."
+         indexes coherent and lockstep under the indexed legs@."
         sweep;
       Format.printf
         "pool: %d domains, %d tasks executed cumulatively, %d stolen@."
@@ -1135,7 +1127,7 @@ let par_cmd =
   Cmd.v (Cmd.info "par" ~doc)
     Term.(
       const go $ seed_arg $ txns $ clients $ relations $ tuples $ sweep
-      $ domains $ chunk $ semantics $ topo)
+      $ domains $ topo)
 
 (* -- repair: differential sweeps of the speculative repair executor ------------- *)
 

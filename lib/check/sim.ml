@@ -176,7 +176,7 @@ let run_raw ?(faults = default_faults) ?recover_config ~seed (sc : Gen.scenario)
   let applied = ref 0 in
   let dup_suppressed = ref 0 in
   let commit c q =
-    let (resp, db') = Txn.translate_indexed (Ix.Session.use session) q !db in
+    let (resp, db') = Txn.translate ~index:(Ix.Session.use session) q !db in
     db := db';
     per_client.(c) <- resp :: per_client.(c);
     incr applied

@@ -4,7 +4,6 @@ open Fdb_relational
 open Fdb_rediflow
 module Ast = Fdb_query.Ast
 module Pred = Fdb_query.Pred
-module Plan = Fdb_query.Plan
 module Wal = Fdb_wal.Wal
 module Ix = Fdb_index.Index
 
@@ -99,9 +98,10 @@ let initial_state semantics spec =
 (* The durable image of [initial_state Ordered_unique], bulk-built per
    relation: [Relation.of_tuples] keeps the first tuple per duplicate key, so
    a WAL genesis checkpoint written from this database matches what every
-   ordered-unique executor starts from.  run_repair and run_sharded build
-   it on every call, once per batch when a caller microbatches, so it
-   must cost O(n log n), not a quadratic list-insert fold. *)
+   ordered-unique executor starts from.  run_parallel, run_repair and
+   run_sharded build it on every call, once per batch when a caller
+   microbatches, so it must cost O(n log n), not a quadratic list-insert
+   fold. *)
 let initial_database spec =
   List.fold_left
     (fun db schema ->
@@ -613,9 +613,9 @@ let run_streams ?(semantics = Prepend) ?(mode = Ideal) ?(trace = false)
 
 (* -- the sequential reference --------------------------------------------- *)
 
-(* Mutable relation state for the non-lenient executors: the sequential
-   reference and the write half of the parallel executor share it, so
-   their write semantics cannot drift apart. *)
+(* Mutable relation state for the sequential reference — deliberately its
+   own interpreter, so it stays an independent oracle for every executor
+   built on [Txn]. *)
 let seq_state semantics spec =
   let state = initial_state semantics spec in
   let rels = Array.of_list (List.map (fun (s, ts) -> (s, ref ts)) state) in
@@ -766,13 +766,7 @@ let check_serializable ?semantics ?mode spec tagged_queries =
 (* -- the parallel executor ------------------------------------------------- *)
 
 module Pool = Fdb_par.Pool
-
-let m_floods = Fdb_obs.Metrics.counter "par.scans_flooded"
-let m_chunks = Fdb_obs.Metrics.counter "par.chunk_tasks"
-
-(* Same registry name as the planner's counter in [Fdb_txn]: the metrics
-   registry keys instruments by name, so both executors share it. *)
-let m_ixagg = Fdb_obs.Metrics.counter "plan.index_aggregate"
+module Txn = Fdb_txn.Txn
 
 type par_report = {
   par_responses : (int * response) list;
@@ -782,318 +776,81 @@ type par_report = {
   par_domains : int;
 }
 
-(* A dispatched query's answer: writes resolve inline on the dispatch
-   thread; flooded reads resolve when the pool drains. *)
-type pending = Now of response | Later of response Lcell.t
+(* The executors built on [Txn] answer in its response type, which is shaped
+   slightly differently (option/bool where the pipeline uses list/int).
+   Error strings are identical by construction: Txn and the pipeline share
+   Pred and format unknown-relation / schema / column errors the same way. *)
+let response_of_txn : Txn.response -> response = function
+  | Txn.Inserted b -> Inserted b
+  | Txn.Found t -> Found (Option.to_list t)
+  | Txn.Deleted b -> Deleted (if b then 1 else 0)
+  | Txn.Selected ts -> Selected ts
+  | Txn.Counted n -> Counted n
+  | Txn.Aggregated v -> Aggregated v
+  | Txn.Updated n -> Updated n
+  | Txn.Joined ts -> Joined ts
+  | Txn.Failed e -> Failed e
 
-let chunks_of ~chunk xs =
-  let rec go acc cur n = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | x :: rest ->
-        if n + 1 >= chunk then go (List.rev (x :: cur) :: acc) [] 0 rest
-        else go acc (x :: cur) (n + 1) rest
-  in
-  go [] [] 0 xs
+(* A database's contents per relation, in the spec's schema order. *)
+let contents_of spec db =
+  List.map
+    (fun schema ->
+      let name = Schema.name schema in
+      ( name,
+        match Database.relation db name with
+        | Some r -> Relation.to_list r
+        | None -> [] ))
+    spec.schemas
 
-(* Chunked map-reduce over one relation scan.  Each chunk is an
-   independent pool task writing its slot; the last one to finish reduces
-   and fills the cell.  Plain slot writes are published to the reducing
-   domain by the atomic countdown (release/acquire), so no chunk result
-   is ever read torn. *)
-let flood pool ~chunk ~site0 xs ~map ~reduce =
-  Fdb_obs.Metrics.incr m_floods;
-  let cell = Lcell.create () in
-  let cks = Array.of_list (chunks_of ~chunk xs) in
-  let n = Array.length cks in
-  if n = 0 then Lcell.put cell (reduce [||])
-  else begin
-    let slots = Array.make n None in
-    let remaining = Atomic.make n in
-    Array.iteri
-      (fun i ck ->
-        Fdb_obs.Metrics.incr m_chunks;
-        Pool.submit pool ~site:(site0 + i) (fun () ->
-            slots.(i) <- Some (map ck);
-            if Atomic.fetch_and_add remaining (-1) = 1 then
-              Lcell.put cell
-                (reduce
-                   (Array.map
-                      (function Some v -> v | None -> assert false)
-                      slots))))
-      cks
-  end;
-  cell
-
-let run_parallel ?(semantics = Prepend) ?domains ?(chunk = 512) ?pool ?wal
-    ?index spec tagged_queries =
-  if chunk < 1 then invalid_arg "Pipeline.run_parallel: chunk must be >= 1";
-  require_ordered_unique ~who:"Pipeline.run_parallel" ~semantics wal;
-  (match (index, semantics) with
-  | (Some _, Prepend) ->
-      invalid_arg
-        "Pipeline.run_parallel: an index session requires Ordered_unique \
-         semantics (indexes mirror keyed sets)"
-  | _ -> ());
+let run_parallel ?(semantics = Ordered_unique) ?domains ?pool ?wal ?index spec
+    tagged_queries =
+  if semantics = Prepend then
+    invalid_arg
+      "Pipeline.run_parallel: Prepend semantics is not supported (the \
+       executor runs Txn over keyed sets)";
   let go pool =
-    let (rels, rel_index) = seq_state semantics spec in
-    (* Index maintenance happens inline on the dispatch thread, right
-       after the write it mirrors — writes are serial here, so indexes
-       advance in lockstep with the mutable relation state.  Deltas are
-       derived before/after [seq_eval]: the removed tuple of a delete and
-       the rewrite pairs of an update are only recoverable from the
-       pre-write contents. *)
-    let eval_write q =
-      match (index, q) with
-      | (None, _) -> seq_eval ~semantics rels rel_index q
-      | (Some session, Ast.Insert { rel; values }) ->
-          let tuple = Tuple.make values in
-          let r = seq_eval ~semantics rels rel_index q in
-          (match (r, rel_index rel) with
-          | (Inserted true, Some ri) ->
-              Ix.Session.on_write (Ix.Session.use session) ~rel
-                ~base:(List.length !(snd rels.(ri)))
-                ~removed:[] ~added:[ tuple ]
-          | _ -> ());
-          r
-      | (Some session, Ast.Delete { rel; key }) ->
-          let removed =
-            match rel_index rel with
-            | Some ri -> List.find_opt (key_eq key) !(snd rels.(ri))
-            | None -> None
-          in
-          let r = seq_eval ~semantics rels rel_index q in
-          (match (r, removed, rel_index rel) with
-          | (Deleted 1, Some t, Some ri) ->
-              Ix.Session.on_write (Ix.Session.use session) ~rel
-                ~base:(List.length !(snd rels.(ri)))
-                ~removed:[ t ] ~added:[]
-          | _ -> ());
-          r
-      | (Some session, Ast.Update { rel; col; value; where }) ->
-          let pairs =
-            match rel_index rel with
-            | None -> []
-            | Some ri -> (
-                let (schema, contents) = rels.(ri) in
-                match Pred.compile_update schema col value where with
-                | Error _ -> []
-                | Ok rewrite ->
-                    List.filter_map
-                      (fun t -> Option.map (fun t' -> (t, t')) (rewrite t))
-                      !contents)
-          in
-          let r = seq_eval ~semantics rels rel_index q in
-          (match (r, rel_index rel) with
-          | (Updated n, Some ri) when n > 0 && pairs <> [] ->
-              Ix.Session.on_write (Ix.Session.use session) ~rel
-                ~base:(List.length !(snd rels.(ri)))
-                ~removed:(List.map fst pairs)
-                ~added:(List.map snd pairs)
-          | _ -> ());
-          r
-      | (Some _, _) -> seq_eval ~semantics rels rel_index q
+    (* The trace sink is a plain closure — not domain-safe — so traced runs
+       answer reads inline, as the repair executor does. *)
+    let traced = Fdb_obs.Trace.enabled () in
+    (* The dispatch chain, one transaction per step.  A write runs inline
+       and yields the next version (maintaining the indexes, if any); a
+       version that differs from its predecessor is logged, so no-op
+       writes — which [Txn] answers with the same database — are not.  A
+       read becomes one pool task over the version current at its
+       dispatch, with a frozen copy of the index store from the same
+       moment: later writes never reach what it sees, so transaction i+1
+       proceeds while transaction i's read is still in flight. *)
+    let dispatch (site, db) (tag, q) =
+      if Ast.is_update q then begin
+        let index = Option.map Ix.Session.use index in
+        let (r, db') = Txn.translate ?index q db in
+        (match wal with Some w when db' != db -> Wal.append w db' | _ -> ());
+        ((site, db'), (tag, Lcell.make (response_of_txn r)))
+      end
+      else begin
+        let index =
+          Option.map
+            (fun s -> Ix.Session.use ~maintain:false (Ix.Session.snapshot s))
+            index
+        in
+        let txn = Txn.translate ?index q in
+        let cell = Lcell.create () in
+        let answer () = Lcell.put cell (response_of_txn (fst (txn db))) in
+        if traced then answer () else Pool.submit pool ~site answer;
+        ((site + 1, db), (tag, cell))
+      end
     in
-    (* Writes mutate [rels] inline on the dispatch thread, so the durable
-       version chain is rebuilt there too: snapshot the relation lists
-       before a write, archive whichever relations actually changed.
-       [Update] always reallocates the list spine, so change detection is
-       element-wise physical equality — an update that rewrote nothing
-       keeps every tuple physically and is not logged. *)
-    let log_write =
-      match wal with
-      | None -> fun _before -> ()
-      | Some w ->
-          fun before ->
-            let db = ref (Wal.latest w) in
-            let changed = ref false in
-            Array.iteri
-              (fun i (schema, contents) ->
-                let now = !contents in
-                if not (List.equal ( == ) before.(i) now) then begin
-                  db := archive_replace !db schema now;
-                  changed := true
-                end)
-              rels;
-            if !changed then Wal.append w !db
+    let ((_, final), answers) =
+      List.fold_left_map dispatch (0, initial_database spec) tagged_queries
     in
-    let floods = ref 0 in
-    let next_site () =
-      let s = !floods in
-      incr floods;
-      s
-    in
-    let concat parts = List.concat (Array.to_list parts) in
-    let sum = Array.fold_left ( + ) 0 in
-    (* Reads capture the relation's current (immutable) tuple list at
-       dispatch time — a version snapshot, so later inline writes never
-       race the flooded scans.  This is exactly the paper's pipelining:
-       transaction i+1 proceeds against its version while transaction i's
-       reads are still being computed. *)
-    let dispatch q =
-      match q with
-      | (Ast.Insert _ | Ast.Delete _ | Ast.Update _)
-        when Option.is_none wal ->
-          Now (eval_write q)
-      | Ast.Insert _ | Ast.Delete _ | Ast.Update _ ->
-          let before = Array.map (fun (_, c) -> !c) rels in
-          let r = eval_write q in
-          log_write before;
-          Now r
-      | Ast.Find { rel; key } -> (
-          match rel_index rel with
-          | None -> Now (Failed (err_unknown_relation rel))
-          | Some r -> (
-              let contents = !(snd rels.(r)) in
-              match semantics with
-              | Prepend ->
-                  Later
-                    (flood pool ~chunk ~site0:(next_site ()) contents
-                       ~map:(List.filter (key_eq key))
-                       ~reduce:(fun parts -> Found (concat parts)))
-              | Ordered_unique ->
-                  Later
-                    (flood pool ~chunk ~site0:(next_site ()) contents
-                       ~map:(List.find_opt (key_eq key))
-                       ~reduce:(fun parts ->
-                         let rec first i =
-                           if i >= Array.length parts then None
-                           else
-                             match parts.(i) with
-                             | Some _ as s -> s
-                             | None -> first (i + 1)
-                         in
-                         Found (Option.to_list (first 0))))))
-      | Ast.Select { rel; cols; where } -> (
-          match rel_index rel with
-          | None -> Now (Failed (err_unknown_relation rel))
-          | Some r -> (
-              let (schema, contents) = rels.(r) in
-              let contents = !contents in
-              match select_plan schema cols where with
-              | Error e -> Now (Failed e)
-              | Ok (test, project) ->
-                  Later
-                    (flood pool ~chunk ~site0:(next_site ()) contents
-                       ~map:(fun ck -> project (List.filter test ck))
-                       ~reduce:(fun parts -> Selected (concat parts)))))
-      | Ast.Count { rel; where } -> (
-          match rel_index rel with
-          | None -> Now (Failed (err_unknown_relation rel))
-          | Some r -> (
-              let (schema, contents) = rels.(r) in
-              let contents = !contents in
-              match where with
-              | Ast.True ->
-                  Later
-                    (flood pool ~chunk ~site0:(next_site ()) contents
-                       ~map:List.length
-                       ~reduce:(fun parts -> Counted (sum parts)))
-              | _ -> (
-                  match Pred.compile schema where with
-                  | Error e -> Now (Failed e)
-                  | Ok test ->
-                      Later
-                        (flood pool ~chunk ~site0:(next_site ()) contents
-                           ~map:(fun ck -> List.length (List.filter test ck))
-                           ~reduce:(fun parts -> Counted (sum parts))))))
-      | Ast.Aggregate { agg; rel; col; where } -> (
-          match rel_index rel with
-          | None -> Now (Failed (err_unknown_relation rel))
-          | Some r -> (
-              let (schema, contents) = rels.(r) in
-              let contents = !contents in
-              match Pred.compile_aggregate schema agg col where with
-              | Error e -> Now (Failed e)
-              | Ok (step, finish) -> (
-                  let slow () =
-                    (* The fold is opaque (not exposed as an associative
-                       op), so it runs as one asynchronous task rather
-                       than a chunked flood. *)
-                    let cell = Lcell.create () in
-                    Pool.submit pool ~site:(next_site ()) (fun () ->
-                        Lcell.put cell
-                          (Aggregated
-                             (finish (List.fold_left step None contents))));
-                    Later cell
-                  in
-                  (* With a derived index whose group matches the predicate
-                     exactly, the maintained statistics answer inline in
-                     O(log n) — the one query shape the flood cannot chunk
-                     becomes the cheapest of all. *)
-                  match index with
-                  | None -> slow ()
-                  | Some session -> (
-                      match
-                        Plan.analyze_group schema
-                          ~indexes:(Ix.Session.descs_for session rel)
-                          ~target:(`Agg (agg, col)) where
-                      with
-                      | Some
-                          { Plan.ipath = Plan.Index_group { ix; group }; _ }
-                        -> (
-                          match
-                            Ix.Store.find (Ix.Session.store session)
-                              ix.Plan.ix_name
-                          with
-                          | None -> slow ()
-                          | Some built ->
-                              Fdb_obs.Metrics.incr m_ixagg;
-                              let answer =
-                                match Ix.group_lookup built group with
-                                | Some st -> (
-                                    match agg with
-                                    | Ast.Sum -> Some st.Ix.g_sum
-                                    | Ast.Min -> Some st.Ix.g_min
-                                    | Ast.Max -> Some st.Ix.g_max)
-                                | None -> finish None
-                              in
-                              Now (Aggregated answer))
-                      | Some _ | None -> slow ()))))
-      | Ast.Join { left; right; on } -> (
-          match (rel_index left, rel_index right) with
-          | (None, _) -> Now (Failed (err_unknown_relation left))
-          | (_, None) -> Now (Failed (err_unknown_relation right))
-          | (Some lr, Some rr) -> (
-              match join_plan (fst rels.(lr)) (fst rels.(rr)) on with
-              | Error e -> Now (Failed e)
-              | Ok (li, ri) ->
-                  let lts = !(snd rels.(lr)) and rts = !(snd rels.(rr)) in
-                  (* [Algebra.join] is left-major, so joining left chunks
-                     against the whole right relation and concatenating
-                     in chunk order reproduces the unchunked output
-                     tuple for tuple. *)
-                  Later
-                    (flood pool ~chunk ~site0:(next_site ()) lts
-                       ~map:(fun ck ->
-                         Algebra.join ~left_col:li ~right_col:ri ck rts)
-                       ~reduce:(fun parts -> Joined (concat parts)))))
-    in
-    let pending = List.map (fun (tag, q) -> (tag, dispatch q)) tagged_queries in
-    (match wal with Some w -> Wal.sync w | None -> ());
+    Option.iter Wal.sync wal;
     Pool.wait pool;
     let (stats : Pool.stats) = Pool.stats pool in
-    let responses =
-      List.mapi
-        (fun i (tag, p) ->
-          match p with
-          | Now r -> (tag, r)
-          | Later cell -> (
-              match Lcell.peek cell with
-              | Some r -> (tag, r)
-              | None ->
-                  failwith
-                    (Printf.sprintf
-                       "Pipeline.run_parallel: response %d unresolved" i)))
-        pending
-    in
-    let final_db =
-      Array.to_list
-        (Array.map (fun (s, ts) -> (Schema.name s, !ts)) rels)
-    in
     {
-      par_responses = responses;
-      par_final_db = final_db;
-      par_tasks = sum stats.executed;
+      par_responses =
+        List.map (fun (tag, cell) -> (tag, Lcell.get cell)) answers;
+      par_final_db = contents_of spec final;
+      par_tasks = Array.fold_left ( + ) 0 stats.executed;
       par_steals = stats.steals;
       par_domains = stats.domains;
     }
@@ -1112,21 +869,14 @@ type repair_report = {
   rep_stats : Fdb_repair.Exec.stats;
 }
 
-(* The repair executor runs the Txn reference semantics, whose responses
-   are shaped slightly differently (option/bool where the pipeline uses
-   list/int).  Error strings are identical by construction: Txn and the
-   pipeline share Pred and format unknown-relation / schema / column
-   errors the same way. *)
-let response_of_txn : Fdb_txn.Txn.response -> response = function
-  | Fdb_txn.Txn.Inserted b -> Inserted b
-  | Fdb_txn.Txn.Found t -> Found (Option.to_list t)
-  | Fdb_txn.Txn.Deleted b -> Deleted (if b then 1 else 0)
-  | Fdb_txn.Txn.Selected ts -> Selected ts
-  | Fdb_txn.Txn.Counted n -> Counted n
-  | Fdb_txn.Txn.Aggregated v -> Aggregated v
-  | Fdb_txn.Txn.Updated n -> Updated n
-  | Fdb_txn.Txn.Joined ts -> Joined ts
-  | Fdb_txn.Txn.Failed e -> Failed e
+let chunks_of ~chunk xs =
+  let rec go acc cur n = function
+    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
+    | x :: rest ->
+        if n + 1 >= chunk then go (List.rev (x :: cur) :: acc) [] 0 rest
+        else go acc (x :: cur) (n + 1) rest
+  in
+  go [] [] 0 xs
 
 let run_repair ?domains ?(batch = 16) ?pool ?wal ?index spec tagged_queries =
   if batch < 1 then invalid_arg "Pipeline.run_repair: batch must be >= 1";
@@ -1162,19 +912,9 @@ let run_repair ?domains ?(batch = 16) ?pool ?wal ?index spec tagged_queries =
         (chunks_of ~chunk:batch tagged_queries)
     in
     (match wal with Some w -> Wal.sync w | None -> ());
-    let final_db =
-      List.map
-        (fun schema ->
-          let name = Schema.name schema in
-          ( name,
-            match Database.relation final name with
-            | Some r -> Relation.to_list r
-            | None -> [] ))
-        spec.schemas
-    in
     {
       rep_responses = List.rev tagged_rev;
-      rep_final_db = final_db;
+      rep_final_db = contents_of spec final;
       rep_batches = batches;
       rep_versions = versions;
       rep_stats = stats;
@@ -1212,19 +952,9 @@ let run_sharded ?(shards = 2) ?wal spec tagged_queries =
       (fun i tag -> (tag, response_of_txn r.Fdb_shard.Shard.responses.(i)))
       (Array.to_list r.Fdb_shard.Shard.tags)
   in
-  let final_db =
-    List.map
-      (fun schema ->
-        let name = Schema.name schema in
-        ( name,
-          match Database.relation r.Fdb_shard.Shard.final name with
-          | Some rel -> Relation.to_list rel
-          | None -> [] ))
-      spec.schemas
-  in
   {
     sh_responses = responses;
-    sh_final_db = final_db;
+    sh_final_db = contents_of spec r.Fdb_shard.Shard.final;
     sh_shards = shards;
     sh_versions = 1 + List.length r.Fdb_shard.Shard.versions;
     sh_stats = r.Fdb_shard.Shard.stats;

@@ -61,9 +61,10 @@ val initial_database : db_spec -> Database.t
     default list backend, the first tuple kept per duplicate key — exactly
     the state every ordered-unique executor starts from, and value-equal to
     a {!Database.load} fold, but built by {!Relation.of_tuples} in
-    O(n log n) per relation ({!run_repair} and {!run_sharded} build it on
-    every call).  Pass this to {!Fdb_wal.Wal.create} to open a durability
-    sink ([?wal] below) whose genesis checkpoint matches the run.
+    O(n log n) per relation ({!run_parallel}, {!run_repair} and
+    {!run_sharded} build it on every call).  Pass this to
+    {!Fdb_wal.Wal.create} to open a durability sink ([?wal] below) whose
+    genesis checkpoint matches the run.
     @raise Invalid_argument when the spec's initial tuples do not match
     their schema. *)
 
@@ -140,25 +141,25 @@ val check_serializable :
 (** {1 The parallel executor}
 
     Real multicore execution on OCaml 5 domains ({!Fdb_par.Pool}), as
-    opposed to the {e simulated} parallelism the engine measures.  Writes
-    run inline on the dispatching thread (they are cheap version
-    constructions); every read floods its relation scan across the pool
-    as chunked map-reduce tasks whose results meet in domain-safe
-    single-assignment cells ({!Fdb_lenient.Lcell}).
+    opposed to the {e simulated} parallelism the engine measures.  The
+    executor is a scheduler over {!Fdb_txn.Txn.translate}: its state is a
+    {!Database.t}, every write runs inline on the dispatching thread (a
+    cheap path-copying version construction), and every read is one pool
+    task applying its transaction to the version current at its dispatch.
 
-    Reads snapshot the relation's immutable tuple list at dispatch time,
-    so transaction [i+1] proceeds while transaction [i]'s scans are still
-    in flight — the paper's pipelining, now across real cores.  Task
-    completion order is nondeterministic, but each response is assembled
-    from single-assignment chunk slots in chunk order, so the response
-    stream is deterministic and must equal {!val:run} and
-    {!val:reference} on the same inputs (the differential tests assert
-    exactly this). *)
+    Versions are immutable, so a read never sees a later write and
+    nothing locks: transaction [i+1] proceeds while transaction [i]'s
+    read is still in flight — the paper's pipelining across real cores,
+    and the reader contract of a logical update view.  Task completion
+    order is nondeterministic, but each read's answer is a function of
+    its version alone, so the response stream is deterministic and must
+    equal {!val:run} and {!val:reference}[ ~semantics:Ordered_unique] on
+    the same inputs (the differential tests assert exactly this). *)
 
 type par_report = {
   par_responses : (int * response) list;  (** (tag, response), stream order *)
   par_final_db : (string * Tuple.t list) list;
-  par_tasks : int;  (** pool tasks executed (chunks + aggregates) *)
+  par_tasks : int;  (** pool tasks executed (one per untraced read) *)
   par_steals : int;  (** tasks run by a domain other than their home *)
   par_domains : int;
 }
@@ -166,28 +167,28 @@ type par_report = {
 val run_parallel :
   ?semantics:semantics ->
   ?domains:int ->
-  ?chunk:int ->
   ?pool:Fdb_par.Pool.t ->
   ?wal:Fdb_wal.Wal.writer ->
   ?index:Fdb_index.Index.Session.t ->
   db_spec ->
   (int * Fdb_query.Ast.query) list ->
   par_report
-(** Execute the merged stream on a domain pool.  [domains] defaults to
-    the pool default ({!Fdb_par.Pool.create}); [chunk] (default 512) is
-    the scan flood granularity in tuples.  Passing [pool] reuses an
-    existing pool (and leaves it running); otherwise a fresh pool is
-    created and shut down around the run — in that case [par_tasks] and
-    [par_steals] count this run alone.  [wal] attaches a durability sink
-    as in {!val:run}: writes are logged inline on the dispatch thread (so
-    the log order is the stream order) and synced before the pool drains.
-    [index] attaches an index session: writes maintain its indexes inline
-    on the dispatch thread in stream order (emitting the lockstep
-    [Index_maintain] events), and aggregates whose predicate matches a
-    derived index group are answered inline in O(log n) from the
-    maintained statistics instead of being folded as an opaque pool task.
-    @raise Invalid_argument when [chunk < 1], or if [wal] or [index] is
-    combined with [Prepend] semantics. *)
+(** Execute the merged stream on a domain pool, starting from
+    {!val:initial_database}[ spec].  Relations are keyed sets, so
+    [semantics] must be [Ordered_unique] (the default).  [domains]
+    defaults to the pool default ({!Fdb_par.Pool.create}).  Passing
+    [pool] reuses an existing pool (and leaves it running); otherwise a
+    fresh pool is created and shut down around the run — in that case
+    [par_tasks] and [par_steals] count this run alone.  [wal] attaches a
+    durability sink as in {!val:run}: every write that changes the
+    database appends its version inline on the dispatch thread (so the
+    log order is the stream order), and the log is synced before the pool
+    drains.  [index] attaches an index session: writes maintain its
+    indexes inline, and each read is planned through a frozen copy of the
+    session whose store is captured at the read's dispatch.  When a trace
+    sink is installed ({!Fdb_obs.Trace.enabled}) reads run inline too —
+    the sink is not domain-safe.
+    @raise Invalid_argument on [Prepend] semantics. *)
 
 type repair_report = {
   rep_responses : (int * response) list;  (** (tag, response), stream order *)

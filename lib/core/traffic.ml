@@ -134,22 +134,17 @@ let run_sequential ~clock (plan : Openloop.t) db0 =
   let run_s = Int64.to_float (Int64.sub t1 t0) /. 1e9 in
   (run_s, !failed, db_contents !db)
 
-(* The stream cut into microbatches, each run through a [Pipeline]
-   execution mode against the state the previous batch left.  The modes
-   consume a [db_spec] (tuple lists), so state is re-materialized between
-   batches — per-batch latency includes that handoff, which is why this
-   path is for differential smoke and mode comparison, not million-tuple
-   sustained-throughput claims (use [Sequential] for those). *)
-let run_batched ~clock ~mode ~microbatch (plan : Openloop.t) =
+(* The stream cut into microbatches, each run through [run] — a
+   [Pipeline] execution mode — against the state the previous batch left.
+   The modes consume a [db_spec] (tuple lists), so state is
+   re-materialized between batches — per-batch latency includes that
+   handoff, which is why this path is for differential smoke and mode
+   comparison, not million-tuple sustained-throughput claims (use
+   [Sequential] for those). *)
+let run_batched ~clock ~microbatch ~run (plan : Openloop.t) =
   let h = Metrics.histogram latency_hist in
   let stream = Array.of_list (Openloop.tagged plan) in
   let n = Array.length stream in
-  let pool =
-    match mode with
-    | Parallel { domains } -> Some (Fdb_par.Pool.create ?domains ())
-    | Repair _ -> Some (Fdb_par.Pool.create ())
-    | _ -> None
-  in
   let current = ref plan.Openloop.initial in
   let failed = ref 0 in
   let t0 = clock () in
@@ -161,22 +156,7 @@ let run_batched ~clock ~mode ~microbatch (plan : Openloop.t) =
       { Pipeline.schemas = plan.Openloop.schemas; initial = !current }
     in
     let s = clock () in
-    let (responses, final_db) =
-      match mode with
-      | Sequential -> assert false
-      | Parallel _ ->
-          let r =
-            Pipeline.run_parallel ~semantics:Pipeline.Ordered_unique ?pool
-              spec batch
-          in
-          (r.Pipeline.par_responses, r.Pipeline.par_final_db)
-      | Repair { batch = b } ->
-          let r = Pipeline.run_repair ~batch:b ?pool spec batch in
-          (r.Pipeline.rep_responses, r.Pipeline.rep_final_db)
-      | Sharded { shards } ->
-          let r = Pipeline.run_sharded ~shards spec batch in
-          (r.Pipeline.sh_responses, r.Pipeline.sh_final_db)
-    in
+    let (responses, final_db) = run spec batch in
     let e = clock () in
     Metrics.observe h (Int64.to_int (Int64.sub e s));
     List.iter
@@ -187,7 +167,6 @@ let run_batched ~clock ~mode ~microbatch (plan : Openloop.t) =
     i := !i + len
   done;
   let t1 = clock () in
-  Option.iter Fdb_par.Pool.shutdown pool;
   let run_s = Int64.to_float (Int64.sub t1 t0) /. 1e9 in
   (run_s, !failed, !current)
 
@@ -195,19 +174,33 @@ let drive ?(mode = Sequential) ?(microbatch = 512)
     ?(backend = Relation.Btree_backend 8) ?(clock = default_clock)
     (plan : Openloop.t) =
   if microbatch < 1 then invalid_arg "Traffic.drive: microbatch < 1";
+  let batched run () = run_batched ~clock ~microbatch ~run plan in
+  let pooled ?domains run () =
+    Fdb_par.Pool.with_pool ?domains (fun pool -> batched (run pool) ())
+  in
   let load0 = clock () in
-  let db0 =
-    match mode with Sequential -> Some (initial_db ~backend plan) | _ -> None
+  let run =
+    match mode with
+    | Sequential ->
+        let db0 = initial_db ~backend plan in
+        fun () -> run_sequential ~clock plan db0
+    | Parallel { domains } ->
+        pooled ?domains (fun pool spec batch ->
+            let r = Pipeline.run_parallel ~pool spec batch in
+            (r.Pipeline.par_responses, r.Pipeline.par_final_db))
+    | Repair { batch = b } ->
+        pooled (fun pool spec batch ->
+            let r = Pipeline.run_repair ~batch:b ~pool spec batch in
+            (r.Pipeline.rep_responses, r.Pipeline.rep_final_db))
+    | Sharded { shards } ->
+        batched (fun spec batch ->
+            let r = Pipeline.run_sharded ~shards spec batch in
+            (r.Pipeline.sh_responses, r.Pipeline.sh_final_db))
   in
   let load_s =
     Int64.to_float (Int64.sub (clock ()) load0) /. 1e9
   in
-  let ((run_s, failed, final), snap) =
-    Metrics.scoped (fun () ->
-        match mode with
-        | Sequential -> run_sequential ~clock plan (Option.get db0)
-        | _ -> run_batched ~clock ~mode ~microbatch plan)
-  in
+  let ((run_s, failed, final), snap) = Metrics.scoped run in
   let txns = Openloop.total_txns plan in
   let (p50, p99, p999) = percentiles (stats_of snap latency_hist) in
   let phases =

@@ -622,6 +622,9 @@ module Session = struct
 
   let use ?(maintain = true) session = { session; maintain }
 
+  (* A frozen copy: the current store, detached from later writes to [s]. *)
+  let snapshot s = { s with store = s.store }
+
   let on_write u ~rel ~base ~removed ~added =
     if u.maintain then
       u.session.store <- Store.apply u.session.store ~rel ~base ~removed ~added

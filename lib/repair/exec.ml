@@ -75,18 +75,12 @@ module Ix = Fdb_index.Index
 let exec_tracked ?index query db =
   let c = Footprint.collector () in
   let tracker = Footprint.tracker c in
-  let (resp, db') =
-    match index with
-    | Some session ->
-        (* Speculative executions read the session's indexes (whose store
-           tracks the committed prefix — exactly each round's base version)
-           but never mutate them: maintenance happens once, at the serial
-           commit point below. *)
-        Txn.translate_indexed ~tracker
-          (Ix.Session.use ~maintain:false session)
-          query db
-    | None -> Txn.translate_tracked tracker query db
-  in
+  (* Speculative executions read the session's indexes (whose store tracks
+     the committed prefix — exactly each round's base version) but never
+     mutate them: maintenance happens once, at the serial commit point
+     below. *)
+  let index = Option.map (Ix.Session.use ~maintain:false) index in
+  let (resp, db') = Txn.translate ~tracker ?index query db in
   (resp, db', Footprint.captured c)
 
 let run_batch ?pool ?domains ?index ?(batch_id = 0) db0 queries =

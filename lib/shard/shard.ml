@@ -123,7 +123,7 @@ let run_merged ~shards ~initial merged =
   in
   let exec db q =
     let c = Footprint.collector () in
-    let (resp, db') = Txn.translate_tracked (Footprint.tracker c) q db in
+    let (resp, db') = Txn.translate ~tracker:(Footprint.tracker c) q db in
     (resp, db', Footprint.captured c)
   in
   (* Keep the assembled global view's slots in lockstep with a slice. *)

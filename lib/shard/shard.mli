@@ -18,7 +18,7 @@
     - {b Level 2 — the global spine}: a transaction whose statically
       touched relations span more than one shard is a {e spine candidate}.
       Its footprint ({!Fdb_repair.Footprint}, via
-      {!Fdb_txn.Txn.translate_tracked}) is compared against everything
+      {!Fdb_txn.Txn.translate}[ ~tracker]) is compared against everything
       committed on its shards since the last global barrier (the open
       {e epoch}): if every such pair commutes — disjoint relations,
       disjoint key sets, or semantic commutation ("Limits of

@@ -154,12 +154,12 @@ type tracker = {
   write : rel:string -> removed:Tuple.t list -> added:Tuple.t list -> unit;
 }
 
-(* Footprint recording is strictly observational: every call below sits on a
-   path [translate] already takes, so the tracked and untracked transactions
-   compute identical (response, database) pairs.  [Failed] outcomes record
-   nothing — a failed transaction's response is database-independent, so no
-   concurrent write can damage it. *)
-let translate_with ?index tk query : t =
+(* Footprint recording is strictly observational: every tracker call below
+   sits on a path the untracked transaction takes too, so the tracked and
+   untracked transactions compute identical (response, database) pairs.
+   [Failed] outcomes record nothing — a failed transaction's response is
+   database-independent, so no concurrent write can damage it. *)
+let translate ?tracker:tk ?index query : t =
   let read_key rel key =
     match tk with Some t -> t.read_key ~rel key | None -> ()
   in
@@ -614,11 +614,6 @@ let translate_with ?index tk query : t =
                         (Algebra.join ~left_col:li ~right_col:ri
                            (Relation.to_list lr) (Relation.to_list rr)),
                       db )))
-
-let translate query = translate_with None query
-let translate_tracked tk query = translate_with (Some tk) query
-
-let translate_indexed ?tracker u query = translate_with ~index:u tracker query
 
 let translate_string src = Result.map translate (Parser.parse src)
 

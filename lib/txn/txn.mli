@@ -34,10 +34,6 @@ type t = Database.t -> response * Database.t
 (** A transaction.  Read-only queries return their argument database
     physically unchanged. *)
 
-val translate : Fdb_query.Ast.query -> t
-(** Compile a query.  Never raises: semantic errors become [Failed]
-    responses (and leave the database unchanged). *)
-
 type tracker = {
   read_key : rel:string -> Value.t -> unit;
       (** a point access: key-existence check, point lookup, or delete *)
@@ -55,21 +51,27 @@ type tracker = {
     publication (writes) — the raw material for speculative conflict
     analysis in [lib/repair]. *)
 
-val translate_tracked : tracker -> Fdb_query.Ast.query -> t
-(** Like {!val:translate}, but reporting every read span and write effect
-    to [tracker] during application.  Observationally identical to the
-    untracked transaction: same response, same output database.  [Failed]
-    outcomes report nothing (they are database-independent). *)
+val translate :
+  ?tracker:tracker ->
+  ?index:Fdb_index.Index.Session.use ->
+  Fdb_query.Ast.query ->
+  t
+(** Compile a query.  Never raises: semantic errors become [Failed]
+    responses (and leave the database unchanged).
 
-val translate_indexed :
-  ?tracker:tracker -> Fdb_index.Index.Session.use -> Fdb_query.Ast.query -> t
-(** Like {!val:translate} with an index session in force: selects, counts
-    and aggregates may be answered through the session's secondary,
-    covering or derived indexes (observationally identical to the plain
+    [tracker] receives every read span and write effect during
+    application.  Observationally the tracked transaction is the
+    untracked one: same response, same output database.  [Failed]
+    outcomes report nothing (they are database-independent).
+
+    [index] puts an index session in force: selects, counts and
+    aggregates may be answered through the session's secondary, covering
+    or derived indexes (observationally identical to the plain
     translation), and — when the session use has maintenance enabled —
     every write advances the session's indexes in lockstep with the base
-    relation.  Indexed reads report a conservative whole-relation read to
-    [tracker]. *)
+    relation.  The catalog is read at translate time, the store at
+    application time.  Indexed reads report a conservative
+    whole-relation read to [tracker]. *)
 
 val translate_string : string -> (t, string) result
 (** Parse then translate. *)

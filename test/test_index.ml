@@ -223,7 +223,7 @@ let test_explain_indexed_on_backends () =
           Alcotest.check response_t
             (Printf.sprintf "%s: %s" name src)
             (List.nth reference i)
-            (fst (Txn.translate_indexed use (parse src) db)))
+            (fst (Txn.translate ~index:use (parse src) db)))
         golden_cases;
       Alcotest.(check (list int))
         (name ^ ": indexed planner decision mix")
@@ -298,7 +298,7 @@ let prop_indexed_matches_plain =
           in
           let (plain, _) = Txn.translate query db in
           let (indexed, db') =
-            Txn.translate_indexed (Ix.Session.use session) query db
+            Txn.translate ~index:(Ix.Session.use session) query db
           in
           if not (Txn.response_equal plain indexed) then
             QCheck2.Test.fail_reportf "%s on %s: indexed %s, plain %s"
@@ -405,7 +405,7 @@ let test_write_path_maintains () =
       let final =
         List.fold_left
           (fun db src ->
-            let (resp, db') = Txn.translate_indexed use (parse src) db in
+            let (resp, db') = Txn.translate ~index:use (parse src) db in
             (match resp with
             | Txn.Failed e -> Alcotest.failf "%s: %s: %s" name src e
             | _ -> ());
@@ -429,7 +429,7 @@ let test_maintenance_disabled_leaves_store () =
   let session = Ix.Session.create_exn catalog db in
   let before = Ix.Session.store session in
   let use = Ix.Session.use ~maintain:false session in
-  let (resp, db') = Txn.translate_indexed use (parse "delete 3 from R") db in
+  let (resp, db') = Txn.translate ~index:use (parse "delete 3 from R") db in
   Alcotest.check response_t "delete applied" (Txn.Deleted true) resp;
   Alcotest.(check bool) "store untouched" true
     (Ix.Session.store session == before);
@@ -491,7 +491,7 @@ let test_history_sweep_coherent () =
               let (r1, db1) = Txn.translate q !plain in
               plain := db1;
               let (r2, db2) =
-                Txn.translate_indexed (Ix.Session.use session) q !indexed
+                Txn.translate ~index:(Ix.Session.use session) q !indexed
               in
               indexed := db2;
               Alcotest.check response_t

@@ -155,10 +155,12 @@ let test_pool_rejects_bad_sizes () =
   Alcotest.check_raises "0 domains"
     (Invalid_argument "Pool.create: domains must be in 1..128") (fun () ->
       ignore (Pool.create ~domains:0 ()));
-  Alcotest.check_raises "negative chunk"
-    (Invalid_argument "Pipeline.run_parallel: chunk must be >= 1") (fun () ->
+  Alcotest.check_raises "Prepend semantics"
+    (Invalid_argument
+       "Pipeline.run_parallel: Prepend semantics is not supported (the \
+        executor runs Txn over keyed sets)") (fun () ->
       ignore
-        (Pipeline.run_parallel ~chunk:0
+        (Pipeline.run_parallel ~semantics:Pipeline.Prepend
            { Pipeline.schemas = []; initial = [] }
            []))
 
@@ -285,10 +287,11 @@ let check_final name expected actual =
     expected actual
 
 (* One scenario: the same seeded workload under the deterministic engine
-   (Ideal), the engine on a simulated 4-PE hypercube, the sequential
-   reference, and the real-domain parallel executor must produce the
-   same response stream and final database.  60 seeds x 2 semantics =
-   120 scenarios; a shared pool keeps domain spawns amortized. *)
+   (Ideal), the engine on a simulated 4-PE hypercube and the sequential
+   reference must produce the same response stream — and, under keyed-set
+   semantics, so must the real-domain parallel executor, with the same
+   final database.  60 seeds x 2 semantics = 120 scenarios; a shared pool
+   keeps domain spawns amortized. *)
 let differential_scenario pool ~semantics ~seed =
   let spec = spec_for ~seed in
   let tagged = gen_queries ~seed (10 + (seed mod 30)) in
@@ -300,16 +303,20 @@ let differential_scenario pool ~semantics ~seed =
       spec tagged
   in
   let reference = Pipeline.reference ~semantics spec tagged in
-  (* a small chunk so multi-chunk floods actually happen at these sizes *)
-  let par = Pipeline.run_parallel ~semantics ~chunk:8 ~pool spec tagged in
-  check_streams (name ^ " par vs ideal") ideal.Pipeline.responses
-    par.Pipeline.par_responses;
-  check_streams (name ^ " par vs machine") machine.Pipeline.responses
-    par.Pipeline.par_responses;
-  check_streams (name ^ " par vs reference") reference
-    par.Pipeline.par_responses;
-  check_final (name ^ " final db") ideal.Pipeline.final_db
-    par.Pipeline.par_final_db
+  check_streams (name ^ " ideal vs machine") ideal.Pipeline.responses
+    machine.Pipeline.responses;
+  check_streams (name ^ " ideal vs reference") reference
+    ideal.Pipeline.responses;
+  match semantics with
+  | Pipeline.Prepend -> ()
+  | Pipeline.Ordered_unique ->
+      let par = Pipeline.run_parallel ~pool spec tagged in
+      check_streams (name ^ " par vs ideal") ideal.Pipeline.responses
+        par.Pipeline.par_responses;
+      check_streams (name ^ " par vs reference") reference
+        par.Pipeline.par_responses;
+      check_final (name ^ " final db") ideal.Pipeline.final_db
+        par.Pipeline.par_final_db
 
 let test_differential semantics () =
   Pool.with_pool ~domains:3 (fun pool ->
@@ -320,10 +327,64 @@ let test_differential semantics () =
 let test_parallel_report_counts () =
   let spec = spec_for ~seed:1 in
   let tagged = gen_queries ~seed:1 40 in
-  let par = Pipeline.run_parallel ~domains:2 ~chunk:4 spec tagged in
+  let par = Pipeline.run_parallel ~domains:2 spec tagged in
+  let reads =
+    List.length
+      (List.filter (fun (_, q) -> not (Fdb_query.Ast.is_update q)) tagged)
+  in
   Alcotest.(check int) "domains as configured" 2 par.Pipeline.par_domains;
-  Alcotest.(check bool) "read floods actually produced pool tasks" true
-    (par.Pipeline.par_tasks > 0)
+  Alcotest.(check int) "one pool task per read" reads par.Pipeline.par_tasks
+
+(* Reads see the index store as it was at their dispatch.  The only worker
+   domain is held busy, so the three indexed reads on group "a" are still
+   queued while the writes after them advance the session's store; each
+   must still answer from its own version. *)
+let test_indexed_reads_see_dispatch_store () =
+  let module Ix = Fdb_index.Index in
+  let module Plan = Fdb_query.Plan in
+  let schema =
+    Schema.make ~name:"G"
+      ~cols:[ ("key", Schema.CInt); ("grp", Schema.CStr); ("num", Schema.CInt) ]
+  in
+  let spec =
+    {
+      Pipeline.schemas = [ schema ];
+      initial =
+        [ ( "G",
+            List.init 10 (fun k ->
+                Tuple.make
+                  [ Value.Int k;
+                    Value.Str (if k mod 2 = 0 then "a" else "b");
+                    Value.Int (k * 3) ]) ) ];
+    }
+  in
+  let catalog =
+    [ { Plan.ix_name = "G_sec_grp"; ix_rel = "G"; ix_col = "grp";
+        ix_kind = Plan.Ix_secondary };
+      { Plan.ix_name = "G_agg_grp"; ix_rel = "G"; ix_col = "grp";
+        ix_kind = Plan.Ix_derived "num" } ]
+  in
+  let tagged =
+    List.map
+      (fun src -> (0, q src))
+      [ "count G where grp = \"a\"";
+        "sum num from G where grp = \"a\"";
+        "select * from G where grp = \"a\"";
+        "insert (20, \"a\", 100) into G";
+        "insert (22, \"a\", 200) into G";
+        "delete 4 from G" ]
+  in
+  let session =
+    Ix.Session.create_exn catalog (Pipeline.initial_database spec)
+  in
+  let par =
+    Pool.with_pool ~domains:1 (fun pool ->
+        Pool.submit pool ~site:0 (fun () -> Unix.sleepf 0.05);
+        Pipeline.run_parallel ~pool ~index:session spec tagged)
+  in
+  check_streams "indexed par vs reference"
+    (Pipeline.reference ~semantics:Pipeline.Ordered_unique spec tagged)
+    par.Pipeline.par_responses
 
 let () =
   Alcotest.run "par"
@@ -369,5 +430,7 @@ let () =
             (test_differential Pipeline.Ordered_unique);
           Alcotest.test_case "report counts" `Quick
             test_parallel_report_counts;
+          Alcotest.test_case "indexed reads see dispatch store" `Quick
+            test_indexed_reads_see_dispatch_store;
         ] );
     ]

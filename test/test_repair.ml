@@ -86,7 +86,7 @@ let test_key_in_span () =
 
 let footprint_of db query =
   let c = Footprint.collector () in
-  let (resp, db') = Txn.translate_tracked (Footprint.tracker c) query db in
+  let (resp, db') = Txn.translate ~tracker:(Footprint.tracker c) query db in
   (resp, db', Footprint.captured c)
 
 let test_overlap_verdicts () =

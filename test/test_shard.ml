@@ -319,7 +319,7 @@ let seed_gen = QCheck2.Gen.int_range 0 100_000
 
 let footprint_of db query =
   let c = Footprint.collector () in
-  let (resp, db') = Txn.translate_tracked (Footprint.tracker c) query db in
+  let (resp, db') = Txn.translate ~tracker:(Footprint.tracker c) query db in
   (resp, db', Footprint.captured c)
 
 (* Any pair the analysis would bypass must produce the same responses and

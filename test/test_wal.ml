@@ -478,7 +478,10 @@ let test_sink_rejects_prepend () =
       | _ -> Alcotest.fail "Prepend + wal accepted")
     [ (fun () -> ignore (Pipeline.run ~wal:w spec_small tagged));
       (fun () -> ignore (Pipeline.run_streams ~wal:w spec_small []));
-      (fun () -> ignore (Pipeline.run_parallel ~domains:2 ~wal:w spec_small []))
+      (fun () ->
+        ignore
+          (Pipeline.run_parallel ~semantics:Pipeline.Prepend ~domains:2 ~wal:w
+             spec_small []))
     ]
 
 let () =
