@@ -27,15 +27,12 @@ case "$BENCH" in */*) ;; *) BENCH="./$BENCH" ;; esac
 # with index coherence and every trace law asserted.
 "$FDBSIM" par --seed 1 --sweep 5 --domains 2 > /dev/null
 # Durability smoke: crash-restart recovery under every disk fault kind and
-# checkpoint interval (2 seeds per cell), and the restart-recovery bench.
+# checkpoint interval (2 seeds per cell).
 "$FDBSIM" recover-disk --seed 1 --sweep 2 > /dev/null
-"$BENCH" wal --quick -o "${TMPDIR:-/tmp}/BENCH_wal_smoke.json" > /dev/null
 # Shard smoke: the full default sweep is cheap (128 scenarios) — sharded
 # executor, sequential engine, epoch-reordered replay and oracle must all
-# agree, with shard_serializability holding on every trace; plus the
-# spine-share bench (quick sizes, artifact to a scratch path).
+# agree, with shard_serializability holding on every trace.
 "$FDBSIM" shard --seed 1 > /dev/null
-"$BENCH" shard --quick -o "${TMPDIR:-/tmp}/BENCH_shard_smoke.json" > /dev/null
 # Index smoke: the indexed interpreter must agree with the plain one with
 # the store coherent and the trace laws holding, and a default stats sweep
 # must surface the indexed-planner decision counters and the maintenance
@@ -50,7 +47,5 @@ for metric in plan.index_probe plan.index_only plan.index_aggregate \
   }
 done
 # Traffic smoke: the open-loop harness through every execution mode on two
-# layouts — final states must agree (the command exits 1 on divergence) —
-# plus a quick bench run (artifact to a scratch path).
+# layouts — final states must agree (the command exits 1 on divergence).
 "$FDBSIM" traffic -n 600 --tuples 2000 > /dev/null
-"$BENCH" traffic --quick -o "${TMPDIR:-/tmp}/BENCH_traffic_smoke.json" > /dev/null

@@ -4,19 +4,20 @@
 
    Usage:  main.exe [table1|table2|table3|fig21|fig22|fig23|fig31|
                      ablation-repr|ablation-topo|ablation-merge|
-                     ablation-semantics|plan|trace-overhead|micro|all]
+                     ablation-semantics|ablation-engine-repr|
+                     ablation-eval-mode|scaling|recover|
+                     plan [--quick] [--seed N] [-o FILE]|
+                     index [--quick] [--seed N] [-o FILE]|
+                     trace-overhead|micro|all]
                     (default: all)
 
-   Usage also covers `par` (parallel executor scaling -> BENCH_par.json),
-   `repair` (speculative repair executor scaling -> BENCH_repair.json) and
-   `shard` (sharded executor spine share/bypass rate -> BENCH_shard.json).
-
-   `plan [--quick] [--seed N] [-o FILE]` sweeps the access-path planner
-   (point / range / full scans and hash vs nested joins) over every backend
-   and writes a BENCH_plan.json artifact stamped with the seed and git
-   revision.  `trace-overhead` asserts that the observability layer's
-   guarded emission adds zero allocations per operation while the trace
-   sink is disabled. *)
+   `plan` sweeps the access-path planner (point / range / full scans and
+   hash vs nested joins) over every backend, and `index` the secondary,
+   covering and derived indexes; each writes a BENCH_*.json artifact
+   stamped with the seed and git revision.  `trace-overhead` asserts that
+   the observability layer's guarded emission adds zero allocations per
+   operation while the trace sink is disabled.  Executor and durability
+   performance is measured by the repository benchmark in perfbench/. *)
 
 open Fdb
 module W = Fdb_workload.Workload
@@ -731,632 +732,6 @@ let index_bench ~quick ~seed ~out =
   close_out oc;
   Printf.printf "\nwrote %s\n" out
 
-(* -- par: read-task speedup on real domains ------------------------------- *)
-
-let par_bench ~quick ~seed ~out =
-  let module Schema = Fdb_relational.Schema in
-  let module Tuple = Fdb_relational.Tuple in
-  let module Value = Fdb_relational.Value in
-  let module Pool = Fdb_par.Pool in
-  section
-    (Printf.sprintf "Parallel executor: read-task wall-clock by domains (%s)"
-       (if quick then "quick" else "full"));
-  let n = if quick then 20_000 else 60_000 in
-  let rand = Random.State.make [| seed; 0xbe7c |] in
-  let tuples =
-    List.init n (fun i ->
-        Tuple.make
-          [ Value.Int (Random.State.int rand (n / 2));
-            Value.Str (Printf.sprintf "v%d" (i mod 997)) ])
-  in
-  let spec =
-    {
-      Pipeline.schemas =
-        [ Schema.make ~name:"R"
-            ~cols:[ ("key", Schema.CInt); ("val", Schema.CStr) ] ];
-      initial = [ ("R", tuples) ];
-    }
-  in
-  (* Read-only traffic: every query is one pool task over the same
-     version, so the reads are independent and the pool is the only
-     variable. *)
-  let nq = if quick then 12 else 24 in
-  let tagged =
-    List.init nq (fun i ->
-        let k = Random.State.int rand (n / 2) in
-        let src =
-          match i mod 4 with
-          | 0 -> Printf.sprintf "select * from R where key >= %d" k
-          | 1 -> Printf.sprintf "count R where key < %d" k
-          | 2 -> Printf.sprintf "sum key from R where key >= %d" k
-          | _ -> "count R"
-        in
-        (i mod 4, Fdb_query.Parser.parse_exn src))
-  in
-  let expected =
-    Pipeline.reference ~semantics:Pipeline.Ordered_unique spec tagged
-  in
-  let check_responses what rs =
-    if
-      not
-        (List.equal
-           (fun (t1, r1) (t2, r2) -> t1 = t2 && Pipeline.response_equal r1 r2)
-           expected rs)
-    then begin
-      Printf.printf "FAIL: %s diverges from the sequential reference\n" what;
-      exit 1
-    end
-  in
-  let repeats = if quick then 2 else 3 in
-  let time_at domains =
-    (* best-of-k wall clock (Sys.time is CPU time summed over domains, so
-       it cannot see parallel speedup); pool spawn/teardown is included,
-       which is honest for a run-sized unit of work *)
-    let best = ref infinity in
-    for _ = 1 to repeats do
-      let t0 = Unix.gettimeofday () in
-      let r = Pipeline.run_parallel ~domains spec tagged in
-      let dt = Unix.gettimeofday () -. t0 in
-      check_responses (Printf.sprintf "%d-domain run" domains)
-        r.Pipeline.par_responses;
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  ignore (time_at 1) (* warm-up: page in the data, settle the GC *);
-  let domain_counts = [ 1; 2; 4; 8 ] in
-  let times = List.map (fun d -> (d, time_at d)) domain_counts in
-  let t1 = List.assoc 1 times in
-  Printf.printf "%8s %12s %9s   (%d tuples, %d scan queries)\n" "domains"
-    "wall-ms" "speedup" n nq;
-  List.iter
-    (fun (d, t) ->
-      Printf.printf "%8d %12.2f %8.2fx\n" d (t *. 1000.0) (t1 /. t))
-    times;
-  Printf.printf
-    "\nrecommended_domain_count: %d  (speedup beyond it is not expected;\n\
-    \ on a single-core host every row measures the same core plus pool \
-     overhead)\n"
-    (Domain.recommended_domain_count ());
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n  \"mode\": %S,\n  \"seed\": %d,\n  \"git_rev\": %S,\n  \
-     \"tuples\": %d,\n  \"queries\": %d,\n  \
-     \"recommended_domain_count\": %d,\n  \"results\": [\n"
-    (if quick then "quick" else "full")
-    seed (git_rev ()) n nq
-    (Domain.recommended_domain_count ());
-  List.iteri
-    (fun i (d, t) ->
-      Printf.fprintf oc
-        "    {\"domains\": %d, \"wall_ms\": %.3f, \"speedup_vs_1\": %.3f}%s\n"
-        d (t *. 1000.0) (t1 /. t)
-        (if i = List.length times - 1 then "" else ","))
-    times;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" out
-
-(* -- repair: speculative batch executor wall-clock by domains ---------------- *)
-
-let repair_bench ~quick ~seed ~out =
-  let module Schema = Fdb_relational.Schema in
-  let module Tuple = Fdb_relational.Tuple in
-  let module Value = Fdb_relational.Value in
-  let module Exec = Fdb_repair.Exec in
-  section
-    (Printf.sprintf
-       "Repair executor: speculative batch wall-clock by domains (%s)"
-       (if quick then "quick" else "full"))
-  ;
-  let n = if quick then 3_000 else 8_000 in
-  let nq = if quick then 160 else 400 in
-  let rand = Random.State.make [| seed; 0x4e9a |] in
-  let key_space = n * 4 in
-  let tuples =
-    List.init n (fun i ->
-        Tuple.make
-          [ Value.Int (Random.State.int rand key_space);
-            Value.Str (Printf.sprintf "v%d" (i mod 997)) ])
-  in
-  let spec =
-    {
-      Pipeline.schemas =
-        [ Schema.make ~name:"R"
-            ~cols:[ ("key", Schema.CInt); ("val", Schema.CStr) ] ];
-      initial = [ ("R", tuples) ];
-    }
-  in
-  (* Mostly key-disjoint point writes — the speculative sweet spot — with a
-     sprinkling of scans and hot-key updates so the conflict scan, the
-     commutativity bypass and the repair loop all see real work. *)
-  let tagged =
-    List.init nq (fun i ->
-        let src =
-          match i mod 10 with
-          | 0 | 1 | 2 | 3 ->
-              Printf.sprintf "insert (%d, \"w%d\") into R"
-                (Random.State.int rand key_space) i
-          | 4 | 5 ->
-              Printf.sprintf "delete %d from R" (Random.State.int rand key_space)
-          | 6 ->
-              Printf.sprintf "update R set val = \"u%d\" where key <= %d" i
-                (Random.State.int rand 48)
-          | 7 -> Printf.sprintf "find %d in R" (Random.State.int rand key_space)
-          | 8 ->
-              Printf.sprintf "count R where key >= %d"
-                (key_space - Random.State.int rand 512)
-          | _ ->
-              Printf.sprintf "sum key from R where key <= %d"
-                (Random.State.int rand 512)
-        in
-        (i mod 4, Fdb_query.Parser.parse_exn src))
-  in
-  let expected = Pipeline.reference ~semantics:Pipeline.Ordered_unique spec tagged in
-  let check_responses what rs =
-    if
-      not
-        (List.equal
-           (fun (t1, r1) (t2, r2) -> t1 = t2 && Pipeline.response_equal r1 r2)
-           expected rs)
-    then begin
-      Printf.printf "FAIL: %s diverges from the sequential reference\n" what;
-      exit 1
-    end
-  in
-  let repeats = if quick then 2 else 3 in
-  let batch = 32 in
-  let time_at domains =
-    (* best-of-k wall clock, pool spawn/teardown included (honest for a
-       run-sized unit of work); every run is differentially checked *)
-    let best = ref infinity and stats = ref Exec.zero_stats in
-    for _ = 1 to repeats do
-      let t0 = Unix.gettimeofday () in
-      let r = Pipeline.run_repair ~domains ~batch spec tagged in
-      let dt = Unix.gettimeofday () -. t0 in
-      check_responses
-        (Printf.sprintf "%d-domain repair run" domains)
-        r.Pipeline.rep_responses;
-      stats := r.Pipeline.rep_stats;
-      if dt < !best then best := dt
-    done;
-    (!best, !stats)
-  in
-  ignore (time_at 1) (* warm-up: page in the data, settle the GC *);
-  let domain_counts = [ 1; 2; 4; 8 ] in
-  let rows = List.map (fun d -> (d, time_at d)) domain_counts in
-  let t1 = fst (List.assoc 1 rows) in
-  Printf.printf "%8s %10s %8s %9s %7s %8s   (%d tuples, %d txns, batch %d)\n"
-    "domains" "wall-ms" "speedup" "spec-hit" "rounds" "bypass" n nq batch;
-  List.iter
-    (fun (d, (t, st)) ->
-      Printf.printf "%8d %10.2f %7.2fx %8.1f%% %7d %8d\n" d (t *. 1000.0)
-        (t1 /. t)
-        (100.0 *. float_of_int st.Exec.spec_hits /. float_of_int st.Exec.txns)
-        st.Exec.rounds
-        (st.Exec.bypass_disjoint + st.Exec.bypass_commute))
-    rows;
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n  \"mode\": %S,\n  \"seed\": %d,\n  \"git_rev\": %S,\n  \
-     \"tuples\": %d,\n  \"queries\": %d,\n  \"batch\": %d,\n  \
-     \"recommended_domain_count\": %d,\n  \"results\": [\n"
-    (if quick then "quick" else "full")
-    seed (git_rev ()) n nq batch
-    (Domain.recommended_domain_count ());
-  List.iteri
-    (fun i (d, (t, st)) ->
-      Printf.fprintf oc
-        "    {\"domains\": %d, \"wall_ms\": %.3f, \"speedup_vs_1\": %.3f, \
-         \"spec_hit_rate\": %.4f, \"rounds\": %d, \"reexecs\": %d, \
-         \"bypass_disjoint\": %d, \"bypass_commute\": %d, \
-         \"adopted_slots\": %d}%s\n"
-        d (t *. 1000.0) (t1 /. t)
-        (float_of_int st.Exec.spec_hits /. float_of_int st.Exec.txns)
-        st.Exec.rounds st.Exec.reexecs st.Exec.bypass_disjoint
-        st.Exec.bypass_commute st.Exec.adopted_slots
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" out
-
-(* -- shard: spine share and bypass rate by shard count ------------------------ *)
-
-let shard_bench ~quick ~seed ~out =
-  let module Shard = Fdb_shard.Shard in
-  let module Merge = Fdb_merge.Merge in
-  section
-    (Printf.sprintf
-       "Sharded executor: global-spine share and bypass rate by shard count \
-        (%s)"
-       (if quick then "quick" else "full"));
-  let txns = if quick then 400 else 1600 in
-  let workload join_pct =
-    W.generate
-      {
-        W.default_spec with
-        transactions = txns;
-        relations = 6;
-        initial_tuples = 240;
-        insert_pct = 20.0;
-        delete_pct = 5.0;
-        update_pct = 10.0;
-        join_pct;
-        clients = 4;
-        seed;
-      }
-  in
-  let repeats = if quick then 2 else 3 in
-  let run join_pct shards =
-    let w = workload join_pct in
-    let spec = Pipeline.db_spec_of_workload w in
-    let tagged =
-      List.map
-        (fun (t : _ Merge.tagged) -> (t.Merge.tag, t.Merge.item))
-        (Merge.merge Merge.Arrival_order w.W.client_streams)
-    in
-    let expected =
-      Pipeline.reference ~semantics:Pipeline.Ordered_unique spec tagged
-    in
-    let best = ref infinity in
-    let stats = ref None in
-    for _ = 1 to repeats do
-      let t0 = Unix.gettimeofday () in
-      let r = Pipeline.run_sharded ~shards spec tagged in
-      let dt = Unix.gettimeofday () -. t0 in
-      if
-        not
-          (List.equal
-             (fun (t1, r1) (t2, r2) ->
-               t1 = t2 && Pipeline.response_equal r1 r2)
-             expected r.Pipeline.sh_responses)
-      then begin
-        Printf.printf
-          "FAIL: %d-shard run diverges from the sequential reference\n" shards;
-        exit 1
-      end;
-      stats := Some r.Pipeline.sh_stats;
-      if dt < !best then best := dt
-    done;
-    (!best, Option.get !stats)
-  in
-  (* bypass fraction = work that never touches the global merge point
-     (shard-local commits plus cross-shard commits the commutativity
-     analysis let bypass the spine); spine fraction is the rest. *)
-  let fracs (st : Shard.stats) =
-    let f n = float_of_int n /. float_of_int (max 1 st.Shard.txns) in
-    (f (st.Shard.local + st.Shard.bypassed), f st.Shard.spine)
-  in
-  let shard_counts = [ 1; 2; 4; 8 ] in
-  let ratios = [ 0.0; 20.0 ] in
-  let rows =
-    List.concat_map
-      (fun join_pct ->
-        List.map
-          (fun shards -> (join_pct, shards, run join_pct shards))
-          shard_counts)
-      ratios
-  in
-  Printf.printf "%9s %7s %10s %9s %9s %8s   (%d txns, 6 relations)\n"
-    "join-pct" "shards" "wall-ms" "bypass" "spine" "x-bypass" txns;
-  List.iter
-    (fun (join_pct, shards, (t, st)) ->
-      let (bypass, spine) = fracs st in
-      Printf.printf "%8.0f%% %7d %10.2f %8.1f%% %8.1f%% %8d\n" join_pct shards
-        (t *. 1000.0) (100.0 *. bypass) (100.0 *. spine) st.Shard.bypassed)
-    rows;
-  (* the acceptance claim: with no cross-shard work, nothing ever touches
-     the global merge — the bypass fraction is positive (in fact 1.0) *)
-  List.iter
-    (fun (join_pct, shards, (_, st)) ->
-      let (bypass, _) = fracs st in
-      if join_pct = 0.0 && bypass <= 0.0 then begin
-        Printf.printf
-          "FAIL: bypass fraction %.3f at cross-shard ratio 0 (%d shards)\n"
-          bypass shards;
-        exit 1
-      end)
-    rows;
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n  \"mode\": %S,\n  \"seed\": %d,\n  \"git_rev\": %S,\n  \
-     \"transactions\": %d,\n  \"relations\": 6,\n  \"results\": [\n"
-    (if quick then "quick" else "full")
-    seed (git_rev ()) txns;
-  List.iteri
-    (fun i (join_pct, shards, (t, st)) ->
-      let (bypass, spine) = fracs st in
-      Printf.fprintf oc
-        "    {\"join_pct\": %.1f, \"shards\": %d, \"wall_ms\": %.3f, \
-         \"txns\": %d, \"local\": %d, \"cross_bypassed\": %d, \"spine\": \
-         %d, \"bypass_frac\": %.4f, \"spine_frac\": %.4f, \"max_epoch\": \
-         %d}%s\n"
-        join_pct shards (t *. 1000.0) st.Shard.txns st.Shard.local
-        st.Shard.bypassed st.Shard.spine bypass spine st.Shard.max_epoch
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" out
-
-(* -- wal: restart-recovery wall-clock vs log length -------------------------- *)
-
-let wal_bench ~quick ~seed ~out =
-  let module Schema = Fdb_relational.Schema in
-  let module Wal = Fdb_wal.Wal in
-  section
-    (Printf.sprintf "Durable log: restart-recovery wall-clock vs log length (%s)"
-       (if quick then "quick" else "full"));
-  let sizes = if quick then [ 100; 400; 1600 ] else [ 250; 1000; 4000 ] in
-  let repeats = if quick then 7 else 15 in
-  let spec =
-    {
-      Pipeline.schemas =
-        [ Schema.make ~name:"R"
-            ~cols:[ ("key", Schema.CInt); ("val", Schema.CStr) ] ];
-      initial = [];
-    }
-  in
-  let db0 = Pipeline.initial_database spec in
-  (* A version chain of the requested length: every query touches the
-     relation, so version i+1 differs from version i and the log gets one
-     delta frame per query. *)
-  let versions n =
-    let rand = Random.State.make [| seed; 0x3a1d; n |] in
-    (* a bounded key space keeps the relation — and so every delta frame —
-       at a steady size, so log bytes grow linearly with the version count
-       and the sweep isolates recovery cost vs log length *)
-    let key_space = 512 in
-    let rec go db i acc =
-      if i >= n then List.rev acc
-      else
-        let src =
-          match i mod 5 with
-          | 0 | 1 | 2 ->
-              Printf.sprintf "insert (%d, \"w%d\") into R"
-                (Random.State.int rand key_space) i
-          | 3 ->
-              Printf.sprintf "update R set val = \"u%d\" where key = %d" i
-                (Random.State.int rand key_space)
-          | _ ->
-              Printf.sprintf "delete %d from R" (Random.State.int rand key_space)
-        in
-        let _, db' = Fdb_txn.Txn.translate (Fdb_query.Parser.parse_exn src) db in
-        if db' == db then go db (i + 1) acc else go db' (i + 1) (db' :: acc)
-    in
-    go db0 0 []
-  in
-  let fresh_dir tag n =
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "fdb-bench-wal-%d-%s-%d" (Unix.getpid ()) tag n)
-    in
-    if Sys.file_exists dir then
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
-    else Sys.mkdir dir 0o700;
-    dir
-  in
-  let rm_dir dir =
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  in
-  (* Write a log of [vs] under [dir], then time [Wal.recover] from a cold
-     store [repeats] times.  Returns (log_bytes, segments, times sorted). *)
-  let measure ~checkpoint_every dir vs =
-    let store = Wal.Fs.store ~dir in
-    let w = Wal.create ~sync_every:8 ~checkpoint_every ~store db0 in
-    List.iter (Wal.append w) vs;
-    Wal.sync w;
-    let appended = Wal.appended w in
-    let log_bytes =
-      List.fold_left
-        (fun acc f ->
-          acc
-          + match store.Wal.Store.read f with
-            | Some s -> String.length s
-            | None -> 0)
-        0
-        (store.Wal.Store.list_files ())
-    in
-    let segments = List.length (store.Wal.Store.list_files ()) in
-    store.Wal.Store.close ();
-    let times =
-      List.init repeats (fun _ ->
-          let cold = Wal.Fs.store ~dir in
-          let t0 = Unix.gettimeofday () in
-          let r = Wal.recover cold in
-          let dt = Unix.gettimeofday () -. t0 in
-          cold.Wal.Store.close ();
-          if r.Wal.upto <> appended then begin
-            Printf.printf "FAIL: recovery stopped at %d of %d appended\n"
-              r.Wal.upto appended;
-            exit 1
-          end;
-          dt)
-    in
-    (log_bytes, segments, List.sort compare times)
-  in
-  let pctl sorted p =
-    let n = List.length sorted in
-    let i = min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1) in
-    List.nth sorted (max 0 i) *. 1000.0
-  in
-  let rows =
-    List.map
-      (fun n ->
-        let vs = versions n in
-        let dir = fresh_dir "full" n in
-        (* full replay: no compaction, recovery cost grows with the log *)
-        let bytes, segs, ts = measure ~checkpoint_every:0 dir vs in
-        rm_dir dir;
-        let dir = fresh_dir "ckpt" n in
-        (* compacted: checkpoints bound the replay suffix *)
-        let cbytes, csegs, cts = measure ~checkpoint_every:64 dir vs in
-        rm_dir dir;
-        (List.length vs, bytes, segs, ts, cbytes, csegs, cts))
-      sizes
-  in
-  Printf.printf "%9s %10s %10s %10s | %10s %10s %10s   (ckpt every 64)\n"
-    "versions" "log-KiB" "p50-ms" "p99-ms" "ckpt-KiB" "p50-ms" "p99-ms";
-  List.iter
-    (fun (n, bytes, _segs, ts, cbytes, _csegs, cts) ->
-      Printf.printf "%9d %10.1f %10.2f %10.2f | %10.1f %10.2f %10.2f\n" n
-        (float_of_int bytes /. 1024.0)
-        (pctl ts 0.50) (pctl ts 0.99)
-        (float_of_int cbytes /. 1024.0)
-        (pctl cts 0.50) (pctl cts 0.99))
-    rows;
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n  \"mode\": %S,\n  \"seed\": %d,\n  \"git_rev\": %S,\n  \
-     \"repeats\": %d,\n  \"sync_every\": 8,\n  \"checkpoint_every\": 64,\n  \
-     \"results\": [\n"
-    (if quick then "quick" else "full")
-    seed (git_rev ()) repeats;
-  List.iteri
-    (fun i (n, bytes, segs, ts, cbytes, csegs, cts) ->
-      Printf.fprintf oc
-        "    {\"versions\": %d, \"log_bytes\": %d, \"segments\": %d, \
-         \"recover_p50_ms\": %.3f, \"recover_p99_ms\": %.3f, \
-         \"compact_log_bytes\": %d, \"compact_segments\": %d, \
-         \"compact_recover_p50_ms\": %.3f, \"compact_recover_p99_ms\": %.3f}%s\n"
-        n bytes segs (pctl ts 0.50) (pctl ts 0.99) cbytes csegs (pctl cts 0.50)
-        (pctl cts 0.99)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" out
-
-(* -- traffic: open-loop production harness over the execution modes ---------- *)
-
-let traffic_bench ~quick ~seed ~out =
-  let module Openloop = Fdb_workload.Openloop in
-  let module Traffic = Fdb.Traffic in
-  let module R = Fdb_relational.Relation in
-  section
-    (Printf.sprintf
-       "Production traffic: open-loop stream, latency percentiles (%s)"
-       (if quick then "quick" else "full"));
-  let initial_tuples = if quick then 20_000 else 1_000_000 in
-  let txns = if quick then 4_000 else 30_000 in
-  let spec = Openloop.standard ~initial_tuples ~txns ~seed () in
-  let t0 = Unix.gettimeofday () in
-  let plan = Openloop.generate spec in
-  let gen_s = Unix.gettimeofday () -. t0 in
-  Printf.printf
-    "generated %d txns over %d initial tuples (%d tenants) in %.2fs\n"
-    (Openloop.total_txns plan) initial_tuples spec.Openloop.tenants gen_s;
-  let clock = Monotonic_clock.now in
-  let runs =
-    [
-      (Traffic.Sequential, R.Btree_backend 8);
-      (Traffic.Sequential, R.Column_backend 256);
-    ]
-    @
-    (* the batched modes at differential scale: they re-materialize state
-       between microbatches, so they ride a smaller stream *)
-    if quick then []
-    else
-      [
-        (Traffic.Parallel { domains = None }, R.Btree_backend 8);
-        (Traffic.Sharded { shards = 4 }, R.Btree_backend 8);
-      ]
-  in
-  let small_plan =
-    if quick then plan
-    else Openloop.generate (Openloop.standard ~initial_tuples:20_000 ~txns:4_000 ~seed ())
-  in
-  let reports =
-    List.map
-      (fun (mode, backend) ->
-        let p =
-          match mode with Traffic.Sequential -> plan | _ -> small_plan
-        in
-        let r = Traffic.drive ~mode ~backend ~clock p in
-        Printf.printf
-          "%-10s %-10s load %6.2fs  run %6.2fs  %9.0f txn/s  p50 %7.0fns  \
-           p99 %8.0fns  p999 %8.0fns  failed %d\n"
-          r.Traffic.tr_mode r.Traffic.tr_backend r.Traffic.tr_load_s
-          r.Traffic.tr_run_s r.Traffic.tr_throughput r.Traffic.tr_p50_ns
-          r.Traffic.tr_p99_ns r.Traffic.tr_p999_ns r.Traffic.tr_failed;
-        List.iter
-          (fun ph ->
-            Printf.printf
-              "           phase %-12s %6d txns  p50 %7.0fns  p99 %8.0fns  \
-               p999 %8.0fns\n"
-              ph.Traffic.ph_name ph.Traffic.ph_txns ph.Traffic.ph_p50_ns
-              ph.Traffic.ph_p99_ns ph.Traffic.ph_p999_ns)
-          r.Traffic.tr_phases;
-        (mode, r))
-      runs
-  in
-  (* differential: every sequential run saw the same stream, so the final
-     states must agree across backends — and the batched modes against the
-     small stream's sequential reference *)
-  (match reports with
-  | (_, first) :: _ ->
-      let small_ref =
-        if quick then first.Traffic.tr_final_digest
-        else
-          (Traffic.drive ~backend:(R.Btree_backend 8) ~clock small_plan)
-            .Traffic.tr_final_digest
-      in
-      List.iter
-        (fun (mode, r) ->
-          let expect =
-            match mode with
-            | Traffic.Sequential when not quick -> first.Traffic.tr_final_digest
-            | _ -> small_ref
-          in
-          if r.Traffic.tr_final_digest <> expect then begin
-            Printf.printf "FAIL: %s/%s final state diverges\n"
-              r.Traffic.tr_mode r.Traffic.tr_backend;
-            exit 1
-          end)
-        reports;
-      Printf.printf "final states agree across backends and modes\n"
-  | [] -> ());
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n  \"mode\": %S,\n  \"seed\": %d,\n  \"git_rev\": %S,\n  \
-     \"relations\": %d,\n  \"initial_tuples\": %d,\n  \"tenants\": %d,\n  \
-     \"txns\": %d,\n  \"generate_s\": %.3f,\n  \"results\": [\n"
-    (if quick then "quick" else "full")
-    seed (git_rev ()) spec.Openloop.relations initial_tuples
-    spec.Openloop.tenants txns gen_s;
-  List.iteri
-    (fun i (_, r) ->
-      let phases =
-        String.concat ", "
-          (List.map
-             (fun ph ->
-               Printf.sprintf
-                 "{\"name\": %S, \"txns\": %d, \"p50_ns\": %.0f, \
-                  \"p99_ns\": %.0f, \"p999_ns\": %.0f}"
-                 ph.Traffic.ph_name ph.Traffic.ph_txns ph.Traffic.ph_p50_ns
-                 ph.Traffic.ph_p99_ns ph.Traffic.ph_p999_ns)
-             r.Traffic.tr_phases)
-      in
-      Printf.fprintf oc
-        "    {\"mode\": %S, \"backend\": %S, \"initial_tuples\": %d, \
-         \"txns\": %d, \"load_s\": %.3f, \"run_s\": %.3f, \
-         \"throughput_txn_s\": %.0f, \"latency_unit\": %S, \"p50_ns\": %.0f, \
-         \"p99_ns\": %.0f, \"p999_ns\": %.0f, \"failed\": %d, \
-         \"final_tuples\": %d, \"final_digest\": %S, \"phases\": [%s]}%s\n"
-        r.Traffic.tr_mode r.Traffic.tr_backend r.Traffic.tr_initial_tuples
-        r.Traffic.tr_txns r.Traffic.tr_load_s r.Traffic.tr_run_s
-        r.Traffic.tr_throughput r.Traffic.tr_latency_unit r.Traffic.tr_p50_ns
-        r.Traffic.tr_p99_ns r.Traffic.tr_p999_ns r.Traffic.tr_failed
-        r.Traffic.tr_final_tuples r.Traffic.tr_final_digest phases
-        (if i = List.length reports - 1 then "" else ","))
-    reports;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" out
-
 (* -- trace-overhead: zero allocations when the sink is disabled -------------- *)
 
 let trace_overhead () =
@@ -1494,6 +869,27 @@ let all () =
   recover ();
   micro ()
 
+(* The [--quick] [--seed N] [-o FILE] options shared by the subcommands
+   that write a BENCH_*.json artifact; [out] is the default artifact path. *)
+let with_bench_args name ~out run =
+  let quick = ref false and seed = ref 1 and out = ref out in
+  let i = ref 2 in
+  while !i < Array.length Sys.argv do
+    (match Sys.argv.(!i) with
+    | "--quick" -> quick := true
+    | "--seed" when !i + 1 < Array.length Sys.argv ->
+        incr i;
+        seed := int_of_string Sys.argv.(!i)
+    | "-o" | "--output" when !i + 1 < Array.length Sys.argv ->
+        incr i;
+        out := Sys.argv.(!i)
+    | a ->
+        Printf.eprintf "%s: unknown argument %S\n" name a;
+        exit 1);
+    incr i
+  done;
+  run ~quick:!quick ~seed:!seed ~out:!out
+
 let () =
   let cmd = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   match cmd with
@@ -1512,139 +908,8 @@ let () =
   | "ablation-eval-mode" -> ablation_eval_mode ()
   | "scaling" -> scaling ()
   | "recover" -> recover ()
-  | "plan" ->
-      let quick = ref false and out = ref "BENCH_plan.json" in
-      let seed = ref 1 in
-      let i = ref 2 in
-      while !i < Array.length Sys.argv do
-        (match Sys.argv.(!i) with
-        | "--quick" -> quick := true
-        | "--seed" when !i + 1 < Array.length Sys.argv ->
-            incr i;
-            seed := int_of_string Sys.argv.(!i)
-        | "-o" | "--output" when !i + 1 < Array.length Sys.argv ->
-            incr i;
-            out := Sys.argv.(!i)
-        | a ->
-            Printf.eprintf "plan: unknown argument %S\n" a;
-            exit 1);
-        incr i
-      done;
-      plan_bench ~quick:!quick ~seed:!seed ~out:!out
-  | "index" ->
-      let quick = ref false and out = ref "BENCH_index.json" in
-      let seed = ref 1 in
-      let i = ref 2 in
-      while !i < Array.length Sys.argv do
-        (match Sys.argv.(!i) with
-        | "--quick" -> quick := true
-        | "--seed" when !i + 1 < Array.length Sys.argv ->
-            incr i;
-            seed := int_of_string Sys.argv.(!i)
-        | "-o" | "--output" when !i + 1 < Array.length Sys.argv ->
-            incr i;
-            out := Sys.argv.(!i)
-        | a ->
-            Printf.eprintf "index: unknown argument %S\n" a;
-            exit 1);
-        incr i
-      done;
-      index_bench ~quick:!quick ~seed:!seed ~out:!out
-  | "par" ->
-      let quick = ref false and out = ref "BENCH_par.json" in
-      let seed = ref 1 in
-      let i = ref 2 in
-      while !i < Array.length Sys.argv do
-        (match Sys.argv.(!i) with
-        | "--quick" -> quick := true
-        | "--seed" when !i + 1 < Array.length Sys.argv ->
-            incr i;
-            seed := int_of_string Sys.argv.(!i)
-        | "-o" | "--output" when !i + 1 < Array.length Sys.argv ->
-            incr i;
-            out := Sys.argv.(!i)
-        | a ->
-            Printf.eprintf "par: unknown argument %S\n" a;
-            exit 1);
-        incr i
-      done;
-      par_bench ~quick:!quick ~seed:!seed ~out:!out
-  | "repair" ->
-      let quick = ref false and out = ref "BENCH_repair.json" in
-      let seed = ref 1 in
-      let i = ref 2 in
-      while !i < Array.length Sys.argv do
-        (match Sys.argv.(!i) with
-        | "--quick" -> quick := true
-        | "--seed" when !i + 1 < Array.length Sys.argv ->
-            incr i;
-            seed := int_of_string Sys.argv.(!i)
-        | "-o" | "--output" when !i + 1 < Array.length Sys.argv ->
-            incr i;
-            out := Sys.argv.(!i)
-        | a ->
-            Printf.eprintf "repair: unknown argument %S\n" a;
-            exit 1);
-        incr i
-      done;
-      repair_bench ~quick:!quick ~seed:!seed ~out:!out
-  | "shard" ->
-      let quick = ref false and out = ref "BENCH_shard.json" in
-      let seed = ref 1 in
-      let i = ref 2 in
-      while !i < Array.length Sys.argv do
-        (match Sys.argv.(!i) with
-        | "--quick" -> quick := true
-        | "--seed" when !i + 1 < Array.length Sys.argv ->
-            incr i;
-            seed := int_of_string Sys.argv.(!i)
-        | "-o" | "--output" when !i + 1 < Array.length Sys.argv ->
-            incr i;
-            out := Sys.argv.(!i)
-        | a ->
-            Printf.eprintf "shard: unknown argument %S\n" a;
-            exit 1);
-        incr i
-      done;
-      shard_bench ~quick:!quick ~seed:!seed ~out:!out
-  | "wal" ->
-      let quick = ref false and out = ref "BENCH_wal.json" in
-      let seed = ref 1 in
-      let i = ref 2 in
-      while !i < Array.length Sys.argv do
-        (match Sys.argv.(!i) with
-        | "--quick" -> quick := true
-        | "--seed" when !i + 1 < Array.length Sys.argv ->
-            incr i;
-            seed := int_of_string Sys.argv.(!i)
-        | "-o" | "--output" when !i + 1 < Array.length Sys.argv ->
-            incr i;
-            out := Sys.argv.(!i)
-        | a ->
-            Printf.eprintf "wal: unknown argument %S\n" a;
-            exit 1);
-        incr i
-      done;
-      wal_bench ~quick:!quick ~seed:!seed ~out:!out
-  | "traffic" ->
-      let quick = ref false and out = ref "BENCH_traffic.json" in
-      let seed = ref 42 in
-      let i = ref 2 in
-      while !i < Array.length Sys.argv do
-        (match Sys.argv.(!i) with
-        | "--quick" -> quick := true
-        | "--seed" when !i + 1 < Array.length Sys.argv ->
-            incr i;
-            seed := int_of_string Sys.argv.(!i)
-        | "-o" | "--output" when !i + 1 < Array.length Sys.argv ->
-            incr i;
-            out := Sys.argv.(!i)
-        | a ->
-            Printf.eprintf "traffic: unknown argument %S\n" a;
-            exit 1);
-        incr i
-      done;
-      traffic_bench ~quick:!quick ~seed:!seed ~out:!out
+  | "plan" -> with_bench_args "plan" ~out:"BENCH_plan.json" plan_bench
+  | "index" -> with_bench_args "index" ~out:"BENCH_index.json" index_bench
   | "trace-overhead" -> trace_overhead ()
   | "micro" -> micro ()
   | "all" -> all ()
@@ -1654,11 +919,6 @@ let () =
          ablation-repr|ablation-topo|ablation-merge|ablation-semantics|\
          ablation-engine-repr|ablation-eval-mode|scaling|recover|\
          plan [--quick] [--seed N] [-o FILE]|\
-         index [--quick] [--seed N] [-o FILE]|\
-         par [--quick] [--seed N] [-o FILE]|\
-         repair [--quick] [--seed N] [-o FILE]|\
-         shard [--quick] [--seed N] [-o FILE]|\
-         wal [--quick] [--seed N] [-o FILE]|\
-         traffic [--quick] [--seed N] [-o FILE]|trace-overhead|micro|all)\n"
+         index [--quick] [--seed N] [-o FILE]|trace-overhead|micro|all)\n"
         other;
       exit 1

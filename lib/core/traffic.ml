@@ -26,10 +26,7 @@ type phase_stats = {
 type report = {
   tr_mode : string;
   tr_backend : string;
-  tr_initial_tuples : int;
   tr_txns : int;
-  tr_load_s : float;
-  tr_run_s : float;
   tr_throughput : float;
   tr_latency_unit : string;
   tr_p50_ns : float;
@@ -46,7 +43,7 @@ let latency_hist = "traffic.latency_ns"
 let phase_hist name = "traffic.phase." ^ name ^ ".latency_ns"
 
 (* Wall-clock nanoseconds.  [gettimeofday] only resolves microseconds, so
-   sub-microsecond service times land in the lowest buckets; benches that
+   sub-microsecond service times land in the lowest buckets; callers that
    care pass a real monotonic nanosecond clock. *)
 let default_clock () = Int64.of_float (Unix.gettimeofday () *. 1e9)
 
@@ -178,7 +175,6 @@ let drive ?(mode = Sequential) ?(microbatch = 512)
   let pooled ?domains run () =
     Fdb_par.Pool.with_pool ?domains (fun pool -> batched (run pool) ())
   in
-  let load0 = clock () in
   let run =
     match mode with
     | Sequential ->
@@ -196,9 +192,6 @@ let drive ?(mode = Sequential) ?(microbatch = 512)
         batched (fun spec batch ->
             let r = Pipeline.run_sharded ~shards spec batch in
             (r.Pipeline.sh_responses, r.Pipeline.sh_final_db))
-  in
-  let load_s =
-    Int64.to_float (Int64.sub (clock ()) load0) /. 1e9
   in
   let ((run_s, failed, final), snap) = Metrics.scoped run in
   let txns = Openloop.total_txns plan in
@@ -224,10 +217,7 @@ let drive ?(mode = Sequential) ?(microbatch = 512)
   {
     tr_mode = mode_name mode;
     tr_backend = Relation.backend_name backend;
-    tr_initial_tuples = plan.Openloop.spec.Openloop.initial_tuples;
     tr_txns = txns;
-    tr_load_s = load_s;
-    tr_run_s = run_s;
     tr_throughput = (if run_s > 0.0 then float_of_int txns /. run_s else 0.0);
     tr_latency_unit =
       (match mode with Sequential -> "txn" | _ -> "microbatch");

@@ -32,11 +32,10 @@ type phase_stats = {
 type report = {
   tr_mode : string;
   tr_backend : string;
-  tr_initial_tuples : int;
   tr_txns : int;
-  tr_load_s : float;  (** bulk-loading the initial image (Sequential) *)
-  tr_run_s : float;  (** executing the whole stream *)
-  tr_throughput : float;  (** transactions per second of run time *)
+  tr_throughput : float;
+      (** transactions per second of run time (the initial load is not
+          timed) *)
   tr_latency_unit : string;
       (** what the percentiles measure: ["txn"] (Sequential) or
           ["microbatch"] (the batched modes) *)

@@ -289,10 +289,11 @@ let check_final name expected actual =
 (* One scenario: the same seeded workload under the deterministic engine
    (Ideal), the engine on a simulated 4-PE hypercube and the sequential
    reference must produce the same response stream — and, under keyed-set
-   semantics, so must the real-domain parallel executor, with the same
-   final database.  60 seeds x 2 semantics = 120 scenarios; a shared pool
-   keeps domain spawns amortized. *)
-let differential_scenario pool ~semantics ~seed =
+   semantics, so must the real-domain parallel executor on every pool in
+   [pools] (1 to 4 domains: the domain count must not change a response),
+   with the same final database.  60 seeds x 2 semantics = 120 scenarios;
+   shared pools keep domain spawns amortized. *)
+let differential_scenario pools ~semantics ~seed =
   let spec = spec_for ~seed in
   let tagged = gen_queries ~seed (10 + (seed mod 30)) in
   let name = Printf.sprintf "seed %d" seed in
@@ -310,18 +311,30 @@ let differential_scenario pool ~semantics ~seed =
   match semantics with
   | Pipeline.Prepend -> ()
   | Pipeline.Ordered_unique ->
-      let par = Pipeline.run_parallel ~pool spec tagged in
-      check_streams (name ^ " par vs ideal") ideal.Pipeline.responses
-        par.Pipeline.par_responses;
-      check_streams (name ^ " par vs reference") reference
-        par.Pipeline.par_responses;
-      check_final (name ^ " final db") ideal.Pipeline.final_db
-        par.Pipeline.par_final_db
+      List.iter
+        (fun (domains, pool) ->
+          let name = Printf.sprintf "%s @ %d domains" name domains in
+          let par = Pipeline.run_parallel ~pool spec tagged in
+          check_streams (name ^ " par vs ideal") ideal.Pipeline.responses
+            par.Pipeline.par_responses;
+          check_streams (name ^ " par vs reference") reference
+            par.Pipeline.par_responses;
+          check_final (name ^ " final db") ideal.Pipeline.final_db
+            par.Pipeline.par_final_db)
+        pools
+
+(* [f] over one open pool per domain count, all closed on return. *)
+let rec with_pools domain_counts f =
+  match domain_counts with
+  | [] -> f []
+  | domains :: rest ->
+      Pool.with_pool ~domains (fun pool ->
+          with_pools rest (fun pools -> f ((domains, pool) :: pools)))
 
 let test_differential semantics () =
-  Pool.with_pool ~domains:3 (fun pool ->
+  with_pools [ 1; 2; 3; 4 ] (fun pools ->
       for seed = 0 to 59 do
-        differential_scenario pool ~semantics ~seed
+        differential_scenario pools ~semantics ~seed
       done)
 
 let test_parallel_report_counts () =

@@ -23,8 +23,8 @@ let q = Fdb_query.Parser.parse_exn
 (* A seeded chain of committed versions (oldest first, element 0 = the
    initial database): a generated scenario's streams, seed-merged and run
    through the sequential reference engine, keeping changed versions. *)
-let chain ~seed =
-  let sc = Gen.generate { Gen.default_spec with seed; queries_per_client = 24 } in
+let chain_with ~queries_per_client ~seed =
+  let sc = Gen.generate { Gen.default_spec with seed; queries_per_client } in
   let db0 = Gen.initial_db sc in
   let merged = Merge.merge (Merge.Seeded seed) sc.Gen.streams in
   let versions = ref [ db0 ] in
@@ -38,6 +38,8 @@ let chain ~seed =
       end)
     merged;
   Array.of_list (List.rev !versions)
+
+let chain ~seed = chain_with ~queries_per_client:24 ~seed
 
 let write_chain ?sync_every ?checkpoint_every store vs =
   let w = Wal.create ?sync_every ?checkpoint_every ~store vs.(0) in
@@ -131,6 +133,39 @@ let test_create_validates () =
       | _ -> Alcotest.fail "bad parameter accepted")
     [ (fun () -> ignore (Wal.create ~sync_every:(-1) ~store db));
       (fun () -> ignore (Wal.create ~checkpoint_every:(-2) ~store db)) ]
+
+(* The real-file store: write a chain through [Wal.Fs.store], close it,
+   and recover from a cold store on the same directory — with full-log
+   replay and with checkpoints bounding the replayed suffix (the chain is
+   long enough for [checkpoint_every:64] to compact). *)
+let test_fs_cold_recovery () =
+  let vs = chain_with ~queries_per_client:120 ~seed:21 in
+  List.iter
+    (fun checkpoint_every ->
+      let dir = Filename.temp_dir "fdb-wal-test" "" in
+      let msg = Printf.sprintf "checkpoint_every %d" checkpoint_every in
+      Fun.protect
+        ~finally:(fun () ->
+          Array.iter
+            (fun f -> Sys.remove (Filename.concat dir f))
+            (Sys.readdir dir);
+          Sys.rmdir dir)
+        (fun () ->
+          let store = Wal.Fs.store ~dir in
+          let w = write_chain ~sync_every:8 ~checkpoint_every store vs in
+          Wal.sync w;
+          store.Wal.Store.close ();
+          let cold = Wal.Fs.store ~dir in
+          let r = Wal.recover cold in
+          cold.Wal.Store.close ();
+          Alcotest.(check int) (msg ^ ": upto = appended") (Wal.appended w)
+            r.Wal.upto;
+          Alcotest.(check bool) (msg ^ ": latest = last appended") true
+            (Oracle.db_equal (History.latest r.Wal.rhistory)
+               vs.(Array.length vs - 1));
+          Alcotest.(check bool) (msg ^ ": replay base") true
+            (if checkpoint_every = 0 then r.Wal.base = 0 else r.Wal.base > 0)))
+    [ 0; 64 ]
 
 (* -- checkpoint compaction -------------------------------------------------- *)
 
@@ -496,6 +531,8 @@ let () =
             test_sync_every_zero_is_explicit_only;
           Alcotest.test_case "resume" `Quick test_resume;
           Alcotest.test_case "argument validation" `Quick test_create_validates;
+          Alcotest.test_case "fs store cold recovery" `Quick
+            test_fs_cold_recovery;
         ] );
       ( "compaction",
         [
