@@ -46,6 +46,34 @@ for metric in plan.index_probe plan.index_only plan.index_aggregate \
     exit 1
   }
 done
+# Script and log smoke: one piped script through run and explain, and a
+# seeded demo log written then read back frame by frame by wal.
+echo 'insert (1, "a") into R; insert (2, "b") into R; count R' \
+  | "$FDBSIM" run | grep -q "counted 2"
+echo 'select val from R where key >= 3 and key < 9' \
+  | "$FDBSIM" explain | grep -q "range scan"
+WALDIR="${TMPDIR:-/tmp}/fdbsim_wal_smoke.$$"
+rm -rf "$WALDIR"
+"$FDBSIM" wal --dir "$WALDIR" --gen 3 | grep -q "^recovery: .*, clean$"
+rm -rf "$WALDIR"
+# CLI contract: a bad sweep parameter is a usage error — exit status 2 and
+# a one-line "fdbsim <cmd>: ..." message on stderr.
+ERR="${TMPDIR:-/tmp}/fdbsim_usage_smoke.$$"
+expect_usage_error() {
+  status=0
+  "$FDBSIM" "$@" > /dev/null 2> "$ERR" || status=$?
+  if [ "$status" -ne 2 ] || ! grep -q "^fdbsim $1: " "$ERR"; then
+    echo "fdbsim $*: expected exit 2 and 'fdbsim $1: ...', got exit $status:" >&2
+    cat "$ERR" >&2
+    exit 1
+  fi
+}
+expect_usage_error repair --batch 0
+expect_usage_error par --domains 0
+expect_usage_error shard --shards 0
+expect_usage_error recover-disk --sweep 0
+expect_usage_error check --clients 0
+rm -f "$ERR"
 # Traffic smoke: the open-loop harness through every execution mode on two
 # layouts — final states must agree (the command exits 1 on divergence).
 "$FDBSIM" traffic -n 600 --tuples 2000 > /dev/null

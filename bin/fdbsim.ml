@@ -17,13 +17,25 @@
      repair     — differential sweeps of the speculative repair executor
      shard      — cross-shard differential sweeps of the sharded executor
      recover-disk — crash-restart sweeps of the durable version log
-     wal        — inspect a log directory frame by frame *)
+     wal        — inspect a log directory frame by frame
+     traffic    — drive an open-loop plan through every execution mode and
+                  backend layout, checking the final states agree *)
 
 open Cmdliner
 module W = Fdb_workload.Workload
 module Topology = Fdb_net.Topology
 module Machine = Fdb_rediflow.Machine
 module Engine = Fdb_kernel.Engine
+module Schema = Fdb_relational.Schema
+module Gen = Fdb_check.Gen
+module Oracle = Fdb_check.Oracle
+module Sim = Fdb_check.Sim
+module Trace_oracle = Fdb_check.Trace_oracle
+module Merge = Fdb_merge.Merge
+module Txn = Fdb_txn.Txn
+module Ix = Fdb_index.Index
+module Replica = Fdb_replica.Replica
+module Metrics = Fdb_obs.Metrics
 open Fdb
 
 (* -- shared argument converters -------------------------------------------- *)
@@ -114,76 +126,146 @@ let print_stats (report : Pipeline.report) =
         m.Machine.net.Fdb_net.Fabric.sent m.Machine.migrations
   | _ -> ()
 
-(* -- run: execute a script --------------------------------------------------- *)
+(* A file's contents, or stdin's when no path is given. *)
+let read_input = function
+  | Some path -> In_channel.with_open_text path In_channel.input_all
+  | None -> In_channel.input_all stdin
+
+let print_metrics () =
+  Format.printf "%a" Metrics.pp_snapshot (Metrics.snapshot ())
+
+(* -- sweep scaffold ------------------------------------------------------------ *)
+
+(* The seeded sweep subcommands (index, check, recover, trace, stats, par,
+   repair, shard, recover-disk) share their scenario flags, spec validation,
+   seed loop and trace export; each keeps only its per-scenario check. *)
+
+let usage_error cmd msg =
+  Format.eprintf "fdbsim %s: %s@." cmd msg;
+  exit 2
+
+let int_arg names ~doc default = Arg.(value & opt int default & info names ~doc)
+
+(* One constructor per scenario flag, each taking the subcommand's default. *)
+let txns = int_arg [ "txns"; "n" ] ~doc:"Queries per client stream."
+let relations = int_arg [ "relations" ] ~doc:"Relations."
+let tuples = int_arg [ "tuples" ] ~doc:"Initial tuples per relation."
+let key_range ?(doc = "Keys are drawn from 0..N-1.") default =
+  int_arg [ "key-range" ] ~doc default
+
+let sweep ?(doc = "How many consecutive seeds to run.") default =
+  int_arg [ "sweep" ] ~doc default
+
+(* The scenario spec seeded by --seed, validated once: a nonsensical spec is
+   a usage error, not a backtrace.  A flag the subcommand leaves out keeps
+   [Gen.default_spec]'s value. *)
+let scenario ?(relations = Term.const Gen.default_spec.relations)
+    ?(tuples = Term.const Gen.default_spec.initial_tuples)
+    ?(key_range = Term.const Gen.default_spec.key_range) cmd ~txns =
+  let clients = int_arg [ "clients" ] ~doc:"Client streams." 3 in
+  let make seed queries_per_client clients relations initial_tuples key_range =
+    let spec =
+      { Gen.seed; clients; relations; queries_per_client; initial_tuples;
+        key_range }
+    in
+    (try ignore (Gen.generate spec)
+     with Invalid_argument msg -> usage_error cmd msg);
+    spec
+  in
+  Term.(const make $ seed_arg $ txns $ clients $ relations $ tuples $ key_range)
+
+(* [(seed, scenario)] for seeds [spec.seed .. spec.seed + sweep - 1]. *)
+let seeds (spec : Gen.spec) ~sweep =
+  Seq.init (max 0 sweep) (fun i ->
+      let seed = spec.Gen.seed + i in
+      (seed, Gen.generate { spec with Gen.seed }))
+
+let domains cmd =
+  let check = function
+    | Some d when d < 1 || d > 128 ->
+        usage_error cmd "domains must be in 1..128"
+    | d -> d
+  in
+  Term.(
+    const check
+    $ Arg.(
+        value & opt (some int) None
+        & info [ "domains" ]
+            ~doc:"Worker domains (default: recommended_domain_count - 1)."))
+
+let trace_out what =
+  Arg.(
+    value & opt (some string) None
+    & info [ "trace-out" ] ~docv:"FILE"
+        ~doc:
+          (Printf.sprintf
+             "Write the first scenario's %s as Chrome trace_event JSON." what))
+
+let write_file path contents =
+  Out_channel.with_open_text path (fun oc -> output_string oc contents)
+
+(* Export the first scenario's [events] to --trace-out, when it was given. *)
+let write_trace ~what out events =
+  match (out, events) with
+  | (Some out, Some events) ->
+      write_file out (Fdb_obs.Chrome.to_json events);
+      Format.printf "first scenario's %s trace (%d events) -> %s@." what
+        (List.length events) out
+  | _ -> ()
+
+(* -- run / explain: query scripts ---------------------------------------------- *)
+
+let script_arg =
+  Arg.(
+    value & pos 0 (some file) None
+    & info [] ~docv:"SCRIPT"
+        ~doc:"Query script file ( ;-or-newline separated; -- comments).  \
+              Reads stdin when omitted.")
+
+(* A parse error exits 1. *)
+let read_script script =
+  match Fdb_query.Parser.parse_script (read_input script) with
+  | Ok queries -> queries
+  | Error e ->
+      Format.eprintf "parse error: %s@." e;
+      exit 1
+
+(* --relations: one key:int, val:string schema per name. *)
+let kv_schemas ~verb =
+  let schema name =
+    Schema.make ~name ~cols:[ ("key", Schema.CInt); ("val", Schema.CStr) ]
+  in
+  Term.(
+    const (List.map schema)
+    $ Arg.(
+        value & opt (list string) [ "R"; "S" ]
+        & info [ "relations" ] ~docv:"NAMES"
+            ~doc:
+              (Printf.sprintf
+                 "Relation names to %s (schema: key:int, val:string)." verb)))
 
 let run_cmd =
-  let script_arg =
-    Arg.(
-      value & pos 0 (some file) None
-      & info [] ~docv:"SCRIPT"
-          ~doc:"Query script file ( ;-or-newline separated; -- comments).  \
-                Reads stdin when omitted.")
-  in
-  let relations_arg =
-    Arg.(
-      value & opt (list string) [ "R"; "S" ]
-      & info [ "relations" ] ~docv:"NAMES"
-          ~doc:"Relation names to create (schema: key:int, val:string).")
-  in
-  let go script relations semantics topo =
-    let src =
-      match script with
-      | Some path -> In_channel.with_open_text path In_channel.input_all
-      | None -> In_channel.input_all stdin
-    in
-    match Fdb_query.Parser.parse_script src with
-    | Error e ->
-        Format.eprintf "parse error: %s@." e;
-        exit 1
-    | Ok queries ->
-        let schemas =
-          List.map
-            (fun name ->
-              Fdb_relational.Schema.make ~name
-                ~cols:
-                  [ ("key", Fdb_relational.Schema.CInt);
-                    ("val", Fdb_relational.Schema.CStr) ])
-            relations
-        in
-        let spec = { Pipeline.schemas; initial = [] } in
-        let tagged = List.map (fun q -> (0, q)) queries in
-        let report =
-          Pipeline.run ~semantics ~mode:(mode_of topo) spec tagged
-        in
-        List.iter
-          (fun ((_, q), (_, r)) ->
-            Format.printf "%-50s => %a@."
-              (Fdb_query.Ast.to_string q)
-              Pipeline.pp_response r)
-          (List.combine tagged report.Pipeline.responses);
-        print_stats report
+  let go script schemas semantics topo =
+    let queries = read_script script in
+    let spec = { Pipeline.schemas; initial = [] } in
+    let tagged = List.map (fun q -> (0, q)) queries in
+    let report = Pipeline.run ~semantics ~mode:(mode_of topo) spec tagged in
+    List.iter
+      (fun ((_, q), (_, r)) ->
+        Format.printf "%-50s => %a@."
+          (Fdb_query.Ast.to_string q)
+          Pipeline.pp_response r)
+      (List.combine tagged report.Pipeline.responses);
+    print_stats report
   in
   let doc = "Execute a query script through the lenient pipeline." in
   Cmd.v (Cmd.info "run" ~doc)
-    Term.(const go $ script_arg $ relations_arg $ semantics_arg $ topo_arg)
-
-(* -- explain: show chosen access paths ---------------------------------------- *)
+    Term.(
+      const go $ script_arg $ kv_schemas ~verb:"create" $ semantics_arg
+      $ topo_arg)
 
 let explain_cmd =
   let module Plan = Fdb_query.Plan in
-  let script_arg =
-    Arg.(
-      value & pos 0 (some file) None
-      & info [] ~docv:"SCRIPT"
-          ~doc:"Query script file ( ;-or-newline separated; -- comments).  \
-                Reads stdin when omitted.")
-  in
-  let relations_arg =
-    Arg.(
-      value & opt (list string) [ "R"; "S" ]
-      & info [ "relations" ] ~docv:"NAMES"
-          ~doc:"Relation names to resolve (schema: key:int, val:string).")
-  in
   let ix_conv =
     let parse s =
       match String.split_on_char ':' s with
@@ -214,74 +296,52 @@ let explain_cmd =
             "Declare a derived aggregation index grouping REL by COL over \
              the key column (repeatable).")
   in
-  let go script relations secondary covering derived =
-    let src =
-      match script with
-      | Some path -> In_channel.with_open_text path In_channel.input_all
-      | None -> In_channel.input_all stdin
+  let go script schemas secondary covering derived =
+    let queries = read_script script in
+    let schema_of name =
+      List.find_opt (fun s -> String.equal (Schema.name s) name) schemas
     in
-    match Fdb_query.Parser.parse_script src with
-    | Error e ->
-        Format.eprintf "parse error: %s@." e;
-        exit 1
-    | Ok queries ->
-        let schemas =
-          List.map
-            (fun name ->
-              ( name,
-                Fdb_relational.Schema.make ~name
-                  ~cols:
-                    [ ("key", Fdb_relational.Schema.CInt);
-                      ("val", Fdb_relational.Schema.CStr) ] ))
-            relations
-        in
-        let schema_of name = List.assoc_opt name schemas in
-        let descs =
-          List.map
-            (fun (rel, col) ->
-              { Plan.ix_name = Printf.sprintf "%s_sec_%s" rel col;
-                ix_rel = rel; ix_col = col; ix_kind = Plan.Ix_secondary })
-            secondary
-          @ List.map
-              (fun (rel, col) ->
-                let cols =
-                  match schema_of rel with
-                  | Some s -> List.map fst (Fdb_relational.Schema.columns s)
-                  | None -> [ col ]
-                in
-                { Plan.ix_name = Printf.sprintf "%s_cov_%s" rel col;
-                  ix_rel = rel; ix_col = col;
-                  ix_kind = Plan.Ix_covering cols })
-              covering
-          @ List.map
-              (fun (rel, col) ->
-                { Plan.ix_name = Printf.sprintf "%s_agg_%s" rel col;
-                  ix_rel = rel; ix_col = col;
-                  ix_kind = Plan.Ix_derived "key" })
-              derived
-        in
-        (match
-           Fdb_index.Index.Catalog.validate (List.map snd schemas) descs
-         with
-        | Ok () -> ()
-        | Error e ->
-            Format.eprintf "fdbsim explain: %s@." e;
-            exit 2);
-        let explain =
-          if descs = [] then Plan.explain ~schema_of
-          else
-            let indexes_of rel =
-              List.filter
-                (fun (d : Plan.index_desc) -> String.equal d.Plan.ix_rel rel)
-                descs
+    let descs =
+      List.map
+        (fun (rel, col) ->
+          { Plan.ix_name = Printf.sprintf "%s_sec_%s" rel col;
+            ix_rel = rel; ix_col = col; ix_kind = Plan.Ix_secondary })
+        secondary
+      @ List.map
+          (fun (rel, col) ->
+            let cols =
+              match schema_of rel with
+              | Some s -> List.map fst (Schema.columns s)
+              | None -> [ col ]
             in
-            Plan.explain_indexed ~schema_of ~indexes_of
+            { Plan.ix_name = Printf.sprintf "%s_cov_%s" rel col;
+              ix_rel = rel; ix_col = col;
+              ix_kind = Plan.Ix_covering cols })
+          covering
+      @ List.map
+          (fun (rel, col) ->
+            { Plan.ix_name = Printf.sprintf "%s_agg_%s" rel col;
+              ix_rel = rel; ix_col = col;
+              ix_kind = Plan.Ix_derived "key" })
+          derived
+    in
+    (match Ix.Catalog.validate schemas descs with
+    | Ok () -> ()
+    | Error e -> usage_error "explain" e);
+    let explain =
+      if descs = [] then Plan.explain ~schema_of
+      else
+        let indexes_of rel =
+          List.filter
+            (fun (d : Plan.index_desc) -> String.equal d.Plan.ix_rel rel)
+            descs
         in
-        List.iter
-          (fun q ->
-            Format.printf "%-50s => %s@." (Fdb_query.Ast.to_string q)
-              (explain q))
-          queries
+        Plan.explain_indexed ~schema_of ~indexes_of
+    in
+    List.iter
+      (fun q ->
+        Format.printf "%-50s => %s@." (Fdb_query.Ast.to_string q) (explain q))
+      queries
   in
   let doc =
     "Show the access path the planner chooses for each query in a script \
@@ -293,108 +353,62 @@ let explain_cmd =
   in
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(
-      const go $ script_arg $ relations_arg $ secondary_arg $ covering_arg
-      $ derived_arg)
+      const go $ script_arg $ kv_schemas ~verb:"resolve" $ secondary_arg
+      $ covering_arg $ derived_arg)
 
 (* -- index: differential sweeps of the index layer ------------------------------ *)
 
 let index_cmd =
-  let module Gen = Fdb_check.Gen in
-  let module Merge = Fdb_merge.Merge in
-  let module Txn = Fdb_txn.Txn in
-  let module Ix = Fdb_index.Index in
-  let module Trace_oracle = Fdb_check.Trace_oracle in
-  let txns =
-    Arg.(
-      value & opt int 8
-      & info [ "txns"; "n" ] ~doc:"Queries per client stream.")
-  in
-  let clients =
-    Arg.(value & opt int 3 & info [ "clients" ] ~doc:"Client streams.")
-  in
-  let relations =
-    Arg.(value & opt int 2 & info [ "relations" ] ~doc:"Relations.")
-  in
-  let tuples =
-    Arg.(
-      value & opt int 8
-      & info [ "tuples" ] ~doc:"Initial tuples per relation.")
-  in
-  let sweep =
-    Arg.(
-      value & opt int 25
-      & info [ "sweep" ] ~doc:"How many consecutive seeds to run.")
-  in
-  let go seed txns clients relations tuples sweep =
-    (try
-       ignore
-         (Gen.generate
-            { Gen.default_spec with
-              clients;
-              relations;
-              queries_per_client = txns;
-              initial_tuples = tuples })
-     with Invalid_argument msg ->
-       Format.eprintf "fdbsim index: %s@." msg;
-       exit 2);
-    Fdb_obs.Metrics.reset ();
+  let go spec sweep =
+    Metrics.reset ();
     let failures = ref 0 and queries = ref 0 in
-    for s = seed to seed + sweep - 1 do
-      let sc =
-        Gen.generate
-          { Gen.default_spec with
-            seed = s;
-            clients;
-            relations;
-            queries_per_client = txns;
-            initial_tuples = tuples }
-      in
-      let merged = Merge.merge (Merge.Seeded ((7 * s) + 1)) sc.Gen.streams in
-      let initial = Gen.initial_db sc in
-      let session =
-        Ix.Session.create_exn (Ix.Catalog.default_for sc.Gen.schemas) initial
-      in
-      let plain = ref initial and indexed = ref initial in
-      let ((), events) =
-        Fdb_obs.Trace.record (fun () ->
-            List.iter
-              (fun (m : _ Merge.tagged) ->
-                incr queries;
-                let q = m.Merge.item in
-                let (r1, db1) = Txn.translate q !plain in
-                plain := db1;
-                let (r2, db2) =
-                  Txn.translate ~index:(Ix.Session.use session) q !indexed
-                in
-                indexed := db2;
-                if not (Txn.response_equal r1 r2) then begin
-                  incr failures;
-                  Format.printf "seed %d: %s answered %a indexed but %a plain@."
-                    s
-                    (Fdb_query.Ast.to_string q)
-                    Txn.pp_response r2 Txn.pp_response r1
-                end)
-              merged)
-      in
-      (match Ix.Store.coherent (Ix.Session.store session) !indexed with
-      | Ok () -> ()
-      | Error e ->
-          incr failures;
-          Format.printf "seed %d: index incoherence: %s@." s e);
-      List.iter
-        (fun v ->
-          incr failures;
-          Format.printf "seed %d: %a@." s Trace_oracle.pp_violation v)
-        (Trace_oracle.check events)
-    done;
+    Seq.iter
+      (fun (s, sc) ->
+        let merged = Merge.merge (Merge.Seeded ((7 * s) + 1)) sc.Gen.streams in
+        let initial = Gen.initial_db sc in
+        let session =
+          Ix.Session.create_exn (Ix.Catalog.default_for sc.Gen.schemas) initial
+        in
+        let plain = ref initial and indexed = ref initial in
+        let ((), events) =
+          Fdb_obs.Trace.record (fun () ->
+              List.iter
+                (fun (m : _ Merge.tagged) ->
+                  incr queries;
+                  let q = m.Merge.item in
+                  let (r1, db1) = Txn.translate q !plain in
+                  plain := db1;
+                  let (r2, db2) =
+                    Txn.translate ~index:(Ix.Session.use session) q !indexed
+                  in
+                  indexed := db2;
+                  if not (Txn.response_equal r1 r2) then begin
+                    incr failures;
+                    Format.printf
+                      "seed %d: %s answered %a indexed but %a plain@." s
+                      (Fdb_query.Ast.to_string q)
+                      Txn.pp_response r2 Txn.pp_response r1
+                  end)
+                merged)
+        in
+        (match Ix.Store.coherent (Ix.Session.store session) !indexed with
+        | Ok () -> ()
+        | Error e ->
+            incr failures;
+            Format.printf "seed %d: index incoherence: %s@." s e);
+        List.iter
+          (fun v ->
+            incr failures;
+            Format.printf "seed %d: %a@." s Trace_oracle.pp_violation v)
+          (Trace_oracle.check events))
+      (seeds spec ~sweep);
     if !failures = 0 then begin
       Format.printf
         "index: %d seeds, %d queries; every indexed answer matched the plain \
          interpreter, every store matched a fresh rebuild, every trace law \
          held@."
         sweep !queries;
-      Format.printf "%a" Fdb_obs.Metrics.pp_snapshot
-        (Fdb_obs.Metrics.snapshot ())
+      print_metrics ()
     end
     else begin
       Format.printf "index: %d failure(s) over %d seeds@." !failures sweep;
@@ -411,7 +425,10 @@ let index_cmd =
   in
   Cmd.v (Cmd.info "index" ~doc)
     Term.(
-      const go $ seed_arg $ txns $ clients $ relations $ tuples $ sweep)
+      const go
+      $ scenario "index" ~txns:(txns 8) ~relations:(relations 2)
+          ~tuples:(tuples 8)
+      $ sweep 25)
 
 (* -- workload: synthetic runs ------------------------------------------------- *)
 
@@ -515,11 +532,7 @@ let fel_cmd =
             "Demand-driven (call-by-need) evaluation instead of the              default lenient (data-driven) model.  Infinite streams work;              anticipatory parallelism is lost.")
   in
   let go file demand =
-    let src =
-      match file with
-      | Some path -> In_channel.with_open_text path In_channel.input_all
-      | None -> In_channel.input_all stdin
-    in
+    let src = read_input file in
     let mode = if demand then Fdb_fel.Eval.Demand else Fdb_fel.Eval.Lenient in
     match Fdb_fel.Eval.run_string ~mode src with
     | Ok (result, stats) ->
@@ -534,32 +547,7 @@ let fel_cmd =
 (* -- check: seeded serializability sweeps ---------------------------------------- *)
 
 let check_cmd =
-  let module Gen = Fdb_check.Gen in
-  let module Oracle = Fdb_check.Oracle in
   let module Shrink = Fdb_check.Shrink in
-  let module Sim = Fdb_check.Sim in
-  let module Merge = Fdb_merge.Merge in
-  let txns =
-    Arg.(
-      value & opt int 6
-      & info [ "txns"; "n" ] ~doc:"Queries per client stream.")
-  in
-  let clients =
-    Arg.(value & opt int 3 & info [ "clients" ] ~doc:"Client streams.")
-  in
-  let relations =
-    Arg.(value & opt int 2 & info [ "relations" ] ~doc:"Relations.")
-  in
-  let tuples =
-    Arg.(
-      value & opt int 6
-      & info [ "tuples" ] ~doc:"Initial tuples per relation.")
-  in
-  let sweep =
-    Arg.(
-      value & opt int 1
-      & info [ "sweep" ] ~doc:"How many consecutive seeds to run.")
-  in
   let no_faults =
     Arg.(
       value & flag
@@ -572,19 +560,7 @@ let check_cmd =
       (Printf.sprintf "seeded-%d" seed, Merge.Seeded ((7 * seed) + 1));
       ("concat", Merge.Concatenated) ]
   in
-  let go seed txns clients relations tuples sweep no_faults =
-    (* Surface bad specs as a usage error, not a backtrace. *)
-    (try
-       ignore
-         (Gen.generate
-            { Gen.default_spec with
-              clients;
-              relations;
-              queries_per_client = txns;
-              initial_tuples = tuples })
-     with Invalid_argument msg ->
-       Format.eprintf "fdbsim check: %s@." msg;
-       exit 2);
+  let go spec sweep no_faults =
     let scenarios = ref 0 and failures = ref 0 in
     let report_failure ~what ~seed sc verdict still_failing =
       incr failures;
@@ -595,41 +571,33 @@ let check_cmd =
         (List.fold_left (fun a s -> a + List.length s) 0 witness)
         (List.length witness) Gen.pp_streams witness
     in
-    for s = seed to seed + sweep - 1 do
-      let sc =
-        Gen.generate
-          { Gen.default_spec with
-            seed = s;
-            clients;
-            relations;
-            queries_per_client = txns;
-            initial_tuples = tuples }
-      in
-      let initial = Gen.initial_db sc in
-      List.iter
-        (fun (name, policy) ->
+    Seq.iter
+      (fun (s, sc) ->
+        let initial = Gen.initial_db sc in
+        List.iter
+          (fun (name, policy) ->
+            incr scenarios;
+            let run streams =
+              Oracle.check_merged ~initial ~streams (Merge.merge policy streams)
+            in
+            match run sc.Gen.streams with
+            | Oracle.Serializable _ -> ()
+            | v ->
+                report_failure ~what:("merge " ^ name) ~seed:s sc v
+                  (fun streams -> not (Oracle.accepted (run streams))))
+          (policies s);
+        if not no_faults then begin
           incr scenarios;
           let run streams =
-            Oracle.check_merged ~initial ~streams (Merge.merge policy streams)
+            (Sim.run ~seed:s { sc with Gen.streams }).Sim.verdict
           in
           match run sc.Gen.streams with
           | Oracle.Serializable _ -> ()
           | v ->
-              report_failure ~what:("merge " ^ name) ~seed:s sc v (fun streams ->
-                  not (Oracle.accepted (run streams))))
-        (policies s);
-      if not no_faults then begin
-        incr scenarios;
-        let run streams =
-          (Sim.run ~seed:s { sc with Gen.streams }).Sim.verdict
-        in
-        match run sc.Gen.streams with
-        | Oracle.Serializable _ -> ()
-        | v ->
-            report_failure ~what:"fault-injected fabric" ~seed:s sc v
-              (fun streams -> not (Oracle.accepted (run streams)))
-      end
-    done;
+              report_failure ~what:"fault-injected fabric" ~seed:s sc v
+                (fun streams -> not (Oracle.accepted (run streams)))
+        end)
+      (seeds spec ~sweep);
     if !failures = 0 then
       Format.printf "check: %d scenarios over %d seeds, all serializable@."
         !scenarios sweep
@@ -646,37 +614,14 @@ let check_cmd =
   in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
-      const go $ seed_arg $ txns $ clients $ relations $ tuples $ sweep
-      $ no_faults)
+      const go
+      $ scenario "check" ~txns:(txns 6) ~relations:(relations 2)
+          ~tuples:(tuples 6)
+      $ sweep 1 $ no_faults)
 
 (* -- recover: crash-failover sweeps ---------------------------------------------- *)
 
 let recover_cmd =
-  let module Gen = Fdb_check.Gen in
-  let module Oracle = Fdb_check.Oracle in
-  let module Sim = Fdb_check.Sim in
-  let module Replica = Fdb_replica.Replica in
-  let txns =
-    Arg.(
-      value & opt int 6
-      & info [ "txns"; "n" ] ~doc:"Queries per client stream.")
-  in
-  let clients =
-    Arg.(value & opt int 3 & info [ "clients" ] ~doc:"Client streams.")
-  in
-  let relations =
-    Arg.(value & opt int 2 & info [ "relations" ] ~doc:"Relations.")
-  in
-  let tuples =
-    Arg.(
-      value & opt int 6
-      & info [ "tuples" ] ~doc:"Initial tuples per relation.")
-  in
-  let sweep =
-    Arg.(
-      value & opt int 50
-      & info [ "sweep" ] ~doc:"How many consecutive seeds to run.")
-  in
   let ckpt =
     Arg.(
       value & opt int 4
@@ -697,18 +642,7 @@ let recover_cmd =
     | 1 -> if ckpt > 0 then "mid-checkpoint" else "mid-stream"
     | _ -> "mid-replay"
   in
-  let go seed txns clients relations tuples sweep ckpt drop verbose =
-    (try
-       ignore
-         (Gen.generate
-            { Gen.default_spec with
-              clients;
-              relations;
-              queries_per_client = txns;
-              initial_tuples = tuples })
-     with Invalid_argument msg ->
-       Format.eprintf "fdbsim recover: %s@." msg;
-       exit 2);
+  let go spec sweep ckpt drop verbose =
     let failures = ref 0 in
     (* per crash kind: runs, crashes that fired, recovery ticks, replayed,
        suffix length, stale reads, checkpoint bytes *)
@@ -726,41 +660,31 @@ let recover_cmd =
           stale + r.Replica.stale_served,
           bytes + r.Replica.checkpoint_bytes )
     in
-    for s = seed to seed + sweep - 1 do
-      let sc =
-        Gen.generate
-          { Gen.default_spec with
-            seed = s;
-            clients;
-            relations;
-            queries_per_client = txns;
-            initial_tuples = tuples }
-      in
-      let faults =
-        { Sim.no_faults with Sim.drop_one_in = drop; crash = true }
-      in
-      let config =
-        { Replica.default_config with Replica.checkpoint_every = ckpt }
-      in
-      match Sim.run ~faults ~recover_config:config ~seed:s sc with
-      | exception Failure msg ->
-          incr failures;
-          Format.printf "seed %d [%s]: INVARIANT VIOLATION: %s@." s
-            (kind_of_seed ~ckpt s) msg
-      | o ->
-          let r = Option.get o.Sim.recovery in
-          if not (Oracle.accepted o.Sim.verdict) then begin
+    let faults = { Sim.no_faults with Sim.drop_one_in = drop; crash = true } in
+    let config =
+      { Replica.default_config with Replica.checkpoint_every = ckpt }
+    in
+    Seq.iter
+      (fun (s, sc) ->
+        match Sim.run ~faults ~recover_config:config ~seed:s sc with
+        | exception Failure msg ->
             incr failures;
-            Format.printf "seed %d [%s]: %a@." s (kind_of_seed ~ckpt s)
-              Oracle.pp_verdict o.Sim.verdict
-          end
-          else begin
-            bump (kind_of_seed ~ckpt s) r;
-            if verbose then
+            Format.printf "seed %d [%s]: INVARIANT VIOLATION: %s@." s
+              (kind_of_seed ~ckpt s) msg
+        | o ->
+            let r = Option.get o.Sim.recovery in
+            if not (Oracle.accepted o.Sim.verdict) then begin
+              incr failures;
               Format.printf "seed %d [%s]: %a@." s (kind_of_seed ~ckpt s)
-                Replica.pp_report r
-          end
-    done;
+                Oracle.pp_verdict o.Sim.verdict
+            end
+            else begin
+              bump (kind_of_seed ~ckpt s) r;
+              if verbose then
+                Format.printf "seed %d [%s]: %a@." s (kind_of_seed ~ckpt s)
+                  Replica.pp_report r
+            end)
+      (seeds spec ~sweep);
     Format.printf
       "@[<v>crash kind      runs  fired  recovery  replayed  suffix  stale  \
        ckpt-bytes@,\
@@ -794,25 +718,15 @@ let recover_cmd =
   in
   Cmd.v (Cmd.info "recover" ~doc)
     Term.(
-      const go $ seed_arg $ txns $ clients $ relations $ tuples $ sweep
-      $ ckpt $ drop $ verbose)
+      const go
+      $ scenario "recover" ~txns:(txns 6) ~relations:(relations 2)
+          ~tuples:(tuples 6)
+      $ sweep 50 $ ckpt $ drop $ verbose)
 
 (* -- trace: capture a failover run as Chrome trace_event JSON ------------------- *)
 
 let trace_cmd =
-  let module Gen = Fdb_check.Gen in
-  let module Oracle = Fdb_check.Oracle in
-  let module Sim = Fdb_check.Sim in
-  let module Replica = Fdb_replica.Replica in
   let module Event = Fdb_obs.Event in
-  let txns =
-    Arg.(
-      value & opt int 6
-      & info [ "txns"; "n" ] ~doc:"Queries per client stream.")
-  in
-  let clients =
-    Arg.(value & opt int 3 & info [ "clients" ] ~doc:"Client streams.")
-  in
   let out =
     Arg.(
       value & opt string "trace.json"
@@ -832,19 +746,12 @@ let trace_cmd =
             "Trace a crash-free fault-injected run instead of the default \
              replica-failover scenario.")
   in
-  let go seed txns clients out drop no_crash =
-    let sc =
-      Gen.generate
-        { Gen.default_spec with seed; clients; queries_per_client = txns }
-    in
+  let go spec out drop no_crash =
     let faults =
       { Sim.default_faults with Sim.drop_one_in = drop; crash = not no_crash }
     in
-    let o = Sim.run ~faults ~seed sc in
-    let json = Fdb_obs.Chrome.to_json o.Sim.trace in
-    let oc = open_out out in
-    output_string oc json;
-    close_out oc;
+    let o = Sim.run ~faults ~seed:spec.Gen.seed (Gen.generate spec) in
+    write_file out (Fdb_obs.Chrome.to_json o.Sim.trace);
     let count pred = List.length (List.filter pred o.Sim.trace) in
     Format.printf
       "traced %d events (%d datagram, %d replica protocol) to %s@."
@@ -878,7 +785,7 @@ let trace_cmd =
           r.Replica.replayed
     | _ -> ());
     Format.printf "trace invariants checked: %s@."
-      (String.concat ", " Fdb_check.Trace_oracle.invariant_names);
+      (String.concat ", " Trace_oracle.invariant_names);
     Format.printf "oracle: %a@." Oracle.pp_verdict o.Sim.verdict;
     if not (Oracle.accepted o.Sim.verdict) then exit 1
   in
@@ -889,49 +796,31 @@ let trace_cmd =
      chrome://tracing or Perfetto."
   in
   Cmd.v (Cmd.info "trace" ~doc)
-    Term.(const go $ seed_arg $ txns $ clients $ out $ drop $ no_crash)
+    Term.(
+      const go $ scenario "trace" ~txns:(txns 6) $ out $ drop $ no_crash)
 
 (* -- stats: the metrics registry after a sweep ---------------------------------- *)
 
 let stats_cmd =
-  let module Gen = Fdb_check.Gen in
-  let module Sim = Fdb_check.Sim in
-  let txns =
-    Arg.(
-      value & opt int 6
-      & info [ "txns"; "n" ] ~doc:"Queries per client stream.")
-  in
-  let clients =
-    Arg.(value & opt int 3 & info [ "clients" ] ~doc:"Client streams.")
-  in
-  let sweep =
-    Arg.(
-      value & opt int 8
-      & info [ "sweep" ] ~doc:"How many consecutive seeds to run.")
-  in
-  let go seed txns clients sweep =
-    Fdb_obs.Metrics.reset ();
-    for s = seed to seed + sweep - 1 do
-      let sc =
-        Gen.generate
-          { Gen.default_spec with seed = s; clients; queries_per_client = txns }
-      in
-      (* One crash-free transport run and one failover run per seed, plus a
-         lenient pipeline run so the cell-copy counters move too. *)
-      ignore (Sim.run ~seed:s sc);
-      ignore
-        (Sim.run ~faults:{ Sim.default_faults with Sim.crash = true } ~seed:s
-           sc);
-      let spec =
-        { Pipeline.schemas = sc.Gen.schemas; initial = sc.Gen.initial }
-      in
-      ignore
-        (Pipeline.run_streams ~semantics:Pipeline.Ordered_unique spec
-           sc.Gen.streams)
-    done;
-    Format.printf "metrics after %d seeds (x3 runs each):@.%a" sweep
-      Fdb_obs.Metrics.pp_snapshot
-      (Fdb_obs.Metrics.snapshot ())
+  let go spec sweep =
+    Metrics.reset ();
+    Seq.iter
+      (fun (s, sc) ->
+        (* One crash-free transport run and one failover run per seed, plus
+           a lenient pipeline run so the cell-copy counters move too. *)
+        ignore (Sim.run ~seed:s sc);
+        ignore
+          (Sim.run ~faults:{ Sim.default_faults with Sim.crash = true }
+             ~seed:s sc);
+        let spec =
+          { Pipeline.schemas = sc.Gen.schemas; initial = sc.Gen.initial }
+        in
+        ignore
+          (Pipeline.run_streams ~semantics:Pipeline.Ordered_unique spec
+             sc.Gen.streams))
+      (seeds spec ~sweep);
+    Format.printf "metrics after %d seeds (x3 runs each):@." sweep;
+    print_metrics ()
   in
   let doc =
     "Run a seeded sweep (transport, failover and lenient-pipeline runs) and \
@@ -939,40 +828,11 @@ let stats_cmd =
      rates, retransmissions, failover latency."
   in
   Cmd.v (Cmd.info "stats" ~doc)
-    Term.(const go $ seed_arg $ txns $ clients $ sweep)
+    Term.(const go $ scenario "stats" ~txns:(txns 6) $ sweep 8)
 
 (* -- par: differential check of the real-domain parallel executor --------------- *)
 
 let par_cmd =
-  let module Gen = Fdb_check.Gen in
-  let module Merge = Fdb_merge.Merge in
-  let txns =
-    Arg.(
-      value & opt int 8
-      & info [ "txns"; "n" ] ~doc:"Queries per client stream.")
-  in
-  let clients =
-    Arg.(value & opt int 3 & info [ "clients" ] ~doc:"Client streams.")
-  in
-  let relations =
-    Arg.(value & opt int 2 & info [ "relations" ] ~doc:"Relations.")
-  in
-  let tuples =
-    Arg.(
-      value & opt int 12
-      & info [ "tuples" ] ~doc:"Initial tuples per relation.")
-  in
-  let sweep =
-    Arg.(
-      value & opt int 25
-      & info [ "sweep" ] ~doc:"How many consecutive seeds to run.")
-  in
-  let domains =
-    Arg.(
-      value & opt (some int) None
-      & info [ "domains" ]
-          ~doc:"Worker domains (default: recommended_domain_count - 1).")
-  in
   let topo =
     Arg.(
       value & opt (some topology_conv) None
@@ -981,26 +841,10 @@ let par_cmd =
             "Also run the engine on this simulated machine topology and \
              include it in the comparison.")
   in
-  let go seed txns clients relations tuples sweep domains topo =
-    (try
-       ignore
-         (Gen.generate
-            { Gen.default_spec with
-              clients;
-              relations;
-              queries_per_client = txns;
-              initial_tuples = tuples })
-     with Invalid_argument msg ->
-       Format.eprintf "fdbsim par: %s@." msg;
-       exit 2);
-    (match domains with
-    | Some d when d < 1 || d > 128 ->
-        Format.eprintf "fdbsim par: domains must be in 1..128@.";
-        exit 2
-    | _ -> ());
+  let go spec sweep domains topo =
     (* The parallel executor runs Txn over keyed sets. *)
     let semantics = Pipeline.Ordered_unique in
-    Fdb_obs.Metrics.reset ();
+    Metrics.reset ();
     let divergences = ref 0 in
     let tasks = ref 0 and steals = ref 0 and ndomains = ref 0 in
     let compare_streams ~seed ~what expected actual =
@@ -1016,93 +860,85 @@ let par_cmd =
       end
     in
     Fdb_par.Pool.with_pool ?domains (fun pool ->
-        for s = seed to seed + sweep - 1 do
-          let sc =
-            Gen.generate
-              { Gen.default_spec with
-                seed = s;
-                clients;
-                relations;
-                queries_per_client = txns;
-                initial_tuples = tuples }
-          in
-          let spec =
-            { Pipeline.schemas = sc.Gen.schemas; initial = sc.Gen.initial }
-          in
-          let tagged =
-            List.map
-              (fun { Merge.tag; item } -> (tag, item))
-              (Merge.merge (Merge.Seeded ((7 * s) + 1)) sc.Gen.streams)
-          in
-          let ideal = Pipeline.run ~semantics spec tagged in
-          let par = Pipeline.run_parallel ~pool spec tagged in
-          tasks := par.Pipeline.par_tasks;
-          steals := par.Pipeline.par_steals;
-          ndomains := par.Pipeline.par_domains;
-          compare_streams ~seed:s ~what:"deterministic engine (ideal)"
-            ideal.Pipeline.responses par.Pipeline.par_responses;
-          compare_streams ~seed:s ~what:"sequential reference"
-            (Pipeline.reference ~semantics spec tagged)
-            par.Pipeline.par_responses;
-          if not (ideal.Pipeline.final_db = par.Pipeline.par_final_db) then begin
-            incr divergences;
-            Format.printf "seed %d: final database diverges@." s
-          end;
-          Option.iter
-            (fun topo ->
-              let machine =
-                Pipeline.run ~semantics
-                  ~mode:(Pipeline.On_machine (Machine.default_config topo))
-                  spec tagged
-              in
-              compare_streams ~seed:s ~what:"simulated machine"
-                machine.Pipeline.responses par.Pipeline.par_responses)
-            topo;
-          (* Indexed legs: the same merged stream with the default catalog
-             maintained inline on the dispatch thread — once on the pool,
-             once traced (reads inline).  Responses must match the
-             sequential reference, the final store a fresh rebuild from the
-             final database, and the traced run's maintenance events the
-             lockstep trace law. *)
-          let module Ix = Fdb_index.Index in
-          List.iter
-            (fun traced ->
-              let session =
-                Ix.Session.create_exn
-                  (Ix.Catalog.default_for sc.Gen.schemas)
-                  (Pipeline.initial_database spec)
-              in
-              let run () =
-                Pipeline.run_parallel ~pool ~index:session spec tagged
-              in
-              let (ipar, events) =
-                if traced then Fdb_obs.Trace.record run else (run (), [])
-              in
-              compare_streams ~seed:s
-                ~what:
-                  (if traced then "sequential reference (indexed, traced)"
-                   else "sequential reference (indexed)")
-                (Pipeline.reference ~semantics spec tagged)
-                ipar.Pipeline.par_responses;
-              (match
-                 Ix.Store.coherent
-                   (Ix.Session.store session)
-                   (Pipeline.initial_database
-                      { spec with
-                        Pipeline.initial = ipar.Pipeline.par_final_db })
-               with
-              | Ok () -> ()
-              | Error e ->
-                  incr divergences;
-                  Format.printf "seed %d: index incoherence: %s@." s e);
-              List.iter
-                (fun v ->
-                  incr divergences;
-                  Format.printf "seed %d: %a@." s
-                    Fdb_check.Trace_oracle.pp_violation v)
-                (Fdb_check.Trace_oracle.check events))
-            [ false; true ]
-        done);
+        Seq.iter
+          (fun (s, sc) ->
+            let spec =
+              { Pipeline.schemas = sc.Gen.schemas; initial = sc.Gen.initial }
+            in
+            let tagged =
+              List.map
+                (fun { Merge.tag; item } -> (tag, item))
+                (Merge.merge (Merge.Seeded ((7 * s) + 1)) sc.Gen.streams)
+            in
+            let ideal = Pipeline.run ~semantics spec tagged in
+            let par = Pipeline.run_parallel ~pool spec tagged in
+            tasks := par.Pipeline.par_tasks;
+            steals := par.Pipeline.par_steals;
+            ndomains := par.Pipeline.par_domains;
+            compare_streams ~seed:s ~what:"deterministic engine (ideal)"
+              ideal.Pipeline.responses par.Pipeline.par_responses;
+            compare_streams ~seed:s ~what:"sequential reference"
+              (Pipeline.reference ~semantics spec tagged)
+              par.Pipeline.par_responses;
+            if not (ideal.Pipeline.final_db = par.Pipeline.par_final_db)
+            then begin
+              incr divergences;
+              Format.printf "seed %d: final database diverges@." s
+            end;
+            Option.iter
+              (fun topo ->
+                let machine =
+                  Pipeline.run ~semantics
+                    ~mode:(Pipeline.On_machine (Machine.default_config topo))
+                    spec tagged
+                in
+                compare_streams ~seed:s ~what:"simulated machine"
+                  machine.Pipeline.responses par.Pipeline.par_responses)
+              topo;
+            (* Indexed legs: the same merged stream with the default catalog
+               maintained inline on the dispatch thread — once on the pool,
+               once traced (reads inline).  Responses must match the
+               sequential reference, the final store a fresh rebuild from
+               the final database, and the traced run's maintenance events
+               the lockstep trace law. *)
+            List.iter
+              (fun traced ->
+                let session =
+                  Ix.Session.create_exn
+                    (Ix.Catalog.default_for sc.Gen.schemas)
+                    (Pipeline.initial_database spec)
+                in
+                let run () =
+                  Pipeline.run_parallel ~pool ~index:session spec tagged
+                in
+                let (ipar, events) =
+                  if traced then Fdb_obs.Trace.record run else (run (), [])
+                in
+                compare_streams ~seed:s
+                  ~what:
+                    (if traced then "sequential reference (indexed, traced)"
+                     else "sequential reference (indexed)")
+                  (Pipeline.reference ~semantics spec tagged)
+                  ipar.Pipeline.par_responses;
+                (match
+                   Ix.Store.coherent
+                     (Ix.Session.store session)
+                     (Pipeline.initial_database
+                        { spec with
+                          Pipeline.initial = ipar.Pipeline.par_final_db })
+                 with
+                | Ok () -> ()
+                | Error e ->
+                    incr divergences;
+                    Format.printf "seed %d: index incoherence: %s@." s e);
+                List.iter
+                  (fun v ->
+                    incr divergences;
+                    Format.printf "seed %d: %a@." s Trace_oracle.pp_violation
+                      v)
+                  (Trace_oracle.check events))
+              [ false; true ])
+          (seeds spec ~sweep));
     if !divergences = 0 then begin
       Format.printf
         "par: %d seeds, every response stream identical across executors; \
@@ -1111,7 +947,7 @@ let par_cmd =
       Format.printf
         "pool: %d domains, %d tasks executed cumulatively, %d stolen@."
         !ndomains !tasks !steals;
-      Format.printf "%a" Fdb_obs.Metrics.pp_snapshot (Fdb_obs.Metrics.snapshot ())
+      print_metrics ()
     end
     else begin
       Format.printf "par: %d divergence(s) over %d seeds@." !divergences sweep;
@@ -1126,124 +962,39 @@ let par_cmd =
   in
   Cmd.v (Cmd.info "par" ~doc)
     Term.(
-      const go $ seed_arg $ txns $ clients $ relations $ tuples $ sweep
-      $ domains $ topo)
+      const go
+      $ scenario "par" ~txns:(txns 8) ~relations:(relations 2)
+          ~tuples:(tuples 12)
+      $ sweep 25 $ domains "par" $ topo)
 
 (* -- repair: differential sweeps of the speculative repair executor ------------- *)
 
 let repair_cmd =
-  let module Gen = Fdb_check.Gen in
-  let module Sim = Fdb_check.Sim in
   let module Exec = Fdb_repair.Exec in
-  let txns =
-    Arg.(
-      value & opt int 5
-      & info [ "txns"; "n" ] ~doc:"Queries per client stream.")
-  in
-  let clients =
-    Arg.(value & opt int 3 & info [ "clients" ] ~doc:"Client streams.")
-  in
-  let relations =
-    Arg.(value & opt int 2 & info [ "relations" ] ~doc:"Relations.")
-  in
-  let tuples =
-    Arg.(
-      value & opt int 6
-      & info [ "tuples" ] ~doc:"Initial tuples per relation.")
-  in
-  let key_range =
-    Arg.(
-      value & opt int 12
-      & info [ "key-range" ]
-          ~doc:
-            "Keys are drawn from 0..N-1; smaller ranges raise the conflict \
-             ratio the repair loop has to absorb.")
-  in
-  let sweep =
-    Arg.(
-      value & opt int 25
-      & info [ "sweep" ] ~doc:"How many consecutive seeds to run.")
-  in
-  let domains =
-    Arg.(
-      value & opt (some int) None
-      & info [ "domains" ]
-          ~doc:"Worker domains (default: recommended_domain_count - 1).")
-  in
   let batch =
     Arg.(
       value & opt int 8
       & info [ "batch" ] ~doc:"Transactions speculated per batch.")
   in
-  let trace_out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the first scenario's repair trace as Chrome trace_event \
-             JSON.")
-  in
-  let go seed txns clients relations tuples key_range sweep domains batch
-      trace_out =
-    (try
-       ignore
-         (Gen.generate
-            { Gen.default_spec with
-              clients;
-              relations;
-              queries_per_client = txns;
-              initial_tuples = tuples;
-              key_range })
-     with Invalid_argument msg ->
-       Format.eprintf "fdbsim repair: %s@." msg;
-       exit 2);
-    (match domains with
-    | Some d when d < 1 || d > 128 ->
-        Format.eprintf "fdbsim repair: domains must be in 1..128@.";
-        exit 2
-    | _ -> ());
-    if batch < 1 then begin
-      Format.eprintf "fdbsim repair: batch must be >= 1@.";
-      exit 2
-    end;
-    if sweep < 1 then begin
-      Format.eprintf "fdbsim repair: sweep must be >= 1@.";
-      exit 2
-    end;
+  let go spec sweep domains batch trace_out =
+    if batch < 1 then usage_error "repair" "batch must be >= 1";
+    if sweep < 1 then usage_error "repair" "sweep must be >= 1";
     let divergences = ref 0 in
     let total = ref Exec.zero_stats in
     let first_trace = ref None in
     Fdb_par.Pool.with_pool ?domains (fun pool ->
-        for s = seed to seed + sweep - 1 do
-          let sc =
-            Gen.generate
-              { Gen.seed = s;
-                clients;
-                relations;
-                queries_per_client = txns;
-                initial_tuples = tuples;
-                key_range }
-          in
-          match Sim.run_repair ~pool ~batch ~seed:s sc with
-          | o ->
-              total := Exec.add_stats !total o.Sim.repair_stats;
-              if !first_trace = None then
-                first_trace := Some o.Sim.repair_trace
-          | exception Failure msg ->
-              incr divergences;
-              Format.printf "seed %d: %s@." s msg
-        done);
-    Option.iter
-      (fun out ->
-        match !first_trace with
-        | Some trace ->
-            let oc = open_out out in
-            output_string oc (Fdb_obs.Chrome.to_json trace);
-            close_out oc;
-            Format.printf "first scenario's repair trace (%d events) -> %s@."
-              (List.length trace) out
-        | None -> ())
-      trace_out;
+        Seq.iter
+          (fun (s, sc) ->
+            match Sim.run_repair ~pool ~batch ~seed:s sc with
+            | o ->
+                total := Exec.add_stats !total o.Sim.repair_stats;
+                if !first_trace = None then
+                  first_trace := Some o.Sim.repair_trace
+            | exception Failure msg ->
+                incr divergences;
+                Format.printf "seed %d: %s@." s msg)
+          (seeds spec ~sweep));
+    write_trace ~what:"repair" trace_out !first_trace;
     if !divergences = 0 then begin
       Format.printf
         "repair: %d seeds, responses and final state identical across the \
@@ -1269,42 +1020,21 @@ let repair_cmd =
   in
   Cmd.v (Cmd.info "repair" ~doc)
     Term.(
-      const go $ seed_arg $ txns $ clients $ relations $ tuples $ key_range
-      $ sweep $ domains $ batch $ trace_out)
+      const go
+      $ scenario "repair" ~txns:(txns 5) ~relations:(relations 2)
+          ~tuples:(tuples 6)
+          ~key_range:
+            (key_range
+               ~doc:
+                 "Keys are drawn from 0..N-1; smaller ranges raise the \
+                  conflict ratio the repair loop has to absorb."
+               12)
+      $ sweep 25 $ domains "repair" $ batch $ trace_out "repair trace")
 
 (* -- shard: cross-shard differential sweeps of the sharded executor ------------- *)
 
 let shard_cmd =
-  let module Gen = Fdb_check.Gen in
-  let module Sim = Fdb_check.Sim in
   let module Shard = Fdb_shard.Shard in
-  let module Merge = Fdb_merge.Merge in
-  let txns =
-    Arg.(
-      value & opt int 5
-      & info [ "txns"; "n" ] ~doc:"Queries per client stream.")
-  in
-  let clients =
-    Arg.(value & opt int 3 & info [ "clients" ] ~doc:"Client streams.")
-  in
-  let relations =
-    Arg.(value & opt int 4 & info [ "relations" ] ~doc:"Relations.")
-  in
-  let tuples =
-    Arg.(
-      value & opt int 6
-      & info [ "tuples" ] ~doc:"Initial tuples per relation.")
-  in
-  let key_range =
-    Arg.(
-      value & opt int 12
-      & info [ "key-range" ] ~doc:"Keys are drawn from 0..N-1.")
-  in
-  let sweep =
-    Arg.(
-      value & opt int 2
-      & info [ "sweep" ] ~doc:"How many consecutive seeds to run.")
-  in
   let shards =
     Arg.(
       value
@@ -1329,41 +1059,12 @@ let shard_cmd =
             "Additionally drive each shard's commit stream through its own \
              primary/backup pair and check the composition.")
   in
-  let trace_out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the first scenario's shard trace as Chrome trace_event \
-             JSON.")
-  in
-  let go seed txns clients relations tuples key_range sweep shards ratios
-      replicate trace_out =
-    (try
-       ignore
-         (Gen.generate
-            { Gen.default_spec with
-              clients;
-              relations;
-              queries_per_client = txns;
-              initial_tuples = tuples;
-              key_range })
-     with Invalid_argument msg ->
-       Format.eprintf "fdbsim shard: %s@." msg;
-       exit 2);
-    if sweep < 1 then begin
-      Format.eprintf "fdbsim shard: sweep must be >= 1@.";
-      exit 2
-    end;
-    if shards = [] || List.exists (fun n -> n < 1) shards then begin
-      Format.eprintf "fdbsim shard: shard counts must be >= 1@.";
-      exit 2
-    end;
-    if ratios = [] || List.exists (fun r -> r < 0.0 || r > 1.0) ratios
-    then begin
-      Format.eprintf "fdbsim shard: cross-ratios must be in [0, 1]@.";
-      exit 2
-    end;
+  let go spec sweep shards ratios replicate trace_out =
+    if sweep < 1 then usage_error "shard" "sweep must be >= 1";
+    if shards = [] || List.exists (fun n -> n < 1) shards then
+      usage_error "shard" "shard counts must be >= 1";
+    if ratios = [] || List.exists (fun r -> r < 0.0 || r > 1.0) ratios then
+      usage_error "shard" "cross-ratios must be in [0, 1]";
     let policies s =
       [ ("arrival", Merge.Arrival_order);
         ("bursty", Merge.Eager_clients [ 2; 3 ]);
@@ -1375,55 +1076,37 @@ let shard_cmd =
     let txns_total = ref 0 in
     let local = ref 0 and bypassed = ref 0 and spine = ref 0 in
     let first_trace = ref None in
-    for s = seed to seed + sweep - 1 do
-      let sc =
-        Gen.generate
-          { Gen.seed = s;
-            clients;
-            relations;
-            queries_per_client = txns;
-            initial_tuples = tuples;
-            key_range }
-      in
-      List.iter
-        (fun n ->
-          List.iter
-            (fun ratio ->
-              let sc = Sim.cross_shardify ~ratio ~seed:s sc in
-              List.iter
-                (fun (pname, policy) ->
-                  incr scenarios;
-                  match
-                    Sim.run_sharded ~policy ~replicate ~shards:n ~seed:s sc
-                  with
-                  | o ->
-                      let st = o.Sim.shard_stats in
-                      txns_total := !txns_total + st.Shard.txns;
-                      local := !local + st.Shard.local;
-                      bypassed := !bypassed + st.Shard.bypassed;
-                      spine := !spine + st.Shard.spine;
-                      if !first_trace = None then
-                        first_trace := Some o.Sim.shard_trace
-                  | exception Failure msg ->
-                      incr divergences;
-                      Format.printf
-                        "seed %d shards %d ratio %.2f policy %s: %s@." s n
-                        ratio pname msg)
-                (policies s))
-            ratios)
-        shards
-    done;
-    Option.iter
-      (fun out ->
-        match !first_trace with
-        | Some trace ->
-            let oc = open_out out in
-            output_string oc (Fdb_obs.Chrome.to_json trace);
-            close_out oc;
-            Format.printf "first scenario's shard trace (%d events) -> %s@."
-              (List.length trace) out
-        | None -> ())
-      trace_out;
+    Seq.iter
+      (fun (s, sc) ->
+        List.iter
+          (fun n ->
+            List.iter
+              (fun ratio ->
+                let sc = Sim.cross_shardify ~ratio ~seed:s sc in
+                List.iter
+                  (fun (pname, policy) ->
+                    incr scenarios;
+                    match
+                      Sim.run_sharded ~policy ~replicate ~shards:n ~seed:s sc
+                    with
+                    | o ->
+                        let st = o.Sim.shard_stats in
+                        txns_total := !txns_total + st.Shard.txns;
+                        local := !local + st.Shard.local;
+                        bypassed := !bypassed + st.Shard.bypassed;
+                        spine := !spine + st.Shard.spine;
+                        if !first_trace = None then
+                          first_trace := Some o.Sim.shard_trace
+                    | exception Failure msg ->
+                        incr divergences;
+                        Format.printf
+                          "seed %d shards %d ratio %.2f policy %s: %s@." s n
+                          ratio pname msg)
+                  (policies s))
+              ratios)
+          shards)
+      (seeds spec ~sweep);
+    write_trace ~what:"shard" trace_out !first_trace;
     if !divergences = 0 then begin
       Format.printf
         "shard: %d scenarios (%d seeds x {%s} shards x {%s} cross-ratios x \
@@ -1457,34 +1140,14 @@ let shard_cmd =
   in
   Cmd.v (Cmd.info "shard" ~doc)
     Term.(
-      const go $ seed_arg $ txns $ clients $ relations $ tuples $ key_range
-      $ sweep $ shards $ ratios $ replicate $ trace_out)
+      const go
+      $ scenario "shard" ~txns:(txns 5) ~relations:(relations 4)
+          ~tuples:(tuples 6) ~key_range:(key_range 12)
+      $ sweep 2 $ shards $ ratios $ replicate $ trace_out "shard trace")
 
 (* -- recover-disk: crash-restart sweeps of the durable version log -------------- *)
 
 let recover_disk_cmd =
-  let module Gen = Fdb_check.Gen in
-  let module Sim = Fdb_check.Sim in
-  let txns =
-    Arg.(
-      value & opt int 8 & info [ "txns"; "n" ] ~doc:"Queries per client stream.")
-  in
-  let clients =
-    Arg.(value & opt int 3 & info [ "clients" ] ~doc:"Client streams.")
-  in
-  let relations =
-    Arg.(value & opt int 2 & info [ "relations" ] ~doc:"Relations.")
-  in
-  let tuples =
-    Arg.(
-      value & opt int 6 & info [ "tuples" ] ~doc:"Initial tuples per relation.")
-  in
-  let sweep =
-    Arg.(
-      value & opt int 13
-      & info [ "sweep" ]
-          ~doc:"Consecutive seeds per (fault, checkpoint-interval) cell.")
-  in
   let checkpoints =
     Arg.(
       value
@@ -1520,36 +1183,10 @@ let recover_disk_cmd =
             "Fault kinds to inject after the torn-write crash: clean-kill, \
              truncate-mid-frame, bit-flip, duplicate-tail.")
   in
-  let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the first scenario's crash-restart trace (appends, syncs, \
-             checkpoints, replay, recovery) as Chrome trace_event JSON.")
-  in
-  let go seed txns clients relations tuples sweep checkpoints sync_every
-      faults trace_out =
-    (try
-       ignore
-         (Gen.generate
-            { Gen.default_spec with
-              clients;
-              relations;
-              queries_per_client = txns;
-              initial_tuples = tuples })
-     with Invalid_argument msg ->
-       Format.eprintf "fdbsim recover-disk: %s@." msg;
-       exit 2);
-    if sweep < 1 then begin
-      Format.eprintf "fdbsim recover-disk: sweep must be >= 1@.";
-      exit 2
-    end;
-    if sync_every < 0 || List.exists (fun c -> c < 0) checkpoints then begin
-      Format.eprintf "fdbsim recover-disk: intervals must be >= 0@.";
-      exit 2
-    end;
+  let go spec sweep checkpoints sync_every faults trace_out =
+    if sweep < 1 then usage_error "recover-disk" "sweep must be >= 1";
+    if sync_every < 0 || List.exists (fun c -> c < 0) checkpoints then
+      usage_error "recover-disk" "intervals must be >= 0";
     let failures = ref 0 in
     let scenarios = ref 0 in
     let first_trace = ref None in
@@ -1563,38 +1200,30 @@ let recover_disk_cmd =
         and cells = ref 0 in
         List.iter
           (fun checkpoint_every ->
-            for s = seed to seed + sweep - 1 do
-              incr scenarios;
-              let sc =
-                Gen.generate
-                  { Gen.default_spec with
-                    seed = s;
-                    clients;
-                    relations;
-                    queries_per_client = txns;
-                    initial_tuples = tuples }
-              in
-              match
-                Sim.run_disk ~sync_every ~checkpoint_every ~fault ~seed:s sc
-              with
-              | o ->
-                  incr cells;
-                  appended := !appended + o.Sim.disk_appended;
-                  durable := !durable + o.Sim.disk_durable;
-                  recovered := !recovered + o.Sim.disk_recovered;
-                  resumed := !resumed + o.Sim.disk_resumed;
-                  Hashtbl.replace stops o.Sim.disk_stop
-                    (1
-                    + Option.value ~default:0
-                        (Hashtbl.find_opt stops o.Sim.disk_stop));
-                  if !first_trace = None then
-                    first_trace := Some o.Sim.disk_trace
-              | exception Failure msg ->
-                  incr failures;
-                  Format.printf "%s/ckpt %d/seed %d: %s@."
-                    (Sim.disk_fault_name fault)
-                    checkpoint_every s msg
-            done)
+            Seq.iter
+              (fun (s, sc) ->
+                incr scenarios;
+                match
+                  Sim.run_disk ~sync_every ~checkpoint_every ~fault ~seed:s sc
+                with
+                | o ->
+                    incr cells;
+                    appended := !appended + o.Sim.disk_appended;
+                    durable := !durable + o.Sim.disk_durable;
+                    recovered := !recovered + o.Sim.disk_recovered;
+                    resumed := !resumed + o.Sim.disk_resumed;
+                    Hashtbl.replace stops o.Sim.disk_stop
+                      (1
+                      + Option.value ~default:0
+                          (Hashtbl.find_opt stops o.Sim.disk_stop));
+                    if !first_trace = None then
+                      first_trace := Some o.Sim.disk_trace
+                | exception Failure msg ->
+                    incr failures;
+                    Format.printf "%s/ckpt %d/seed %d: %s@."
+                      (Sim.disk_fault_name fault)
+                      checkpoint_every s msg)
+              (seeds spec ~sweep))
           checkpoints;
         Format.printf
           "%-18s %3d scenarios: appended %4d, durable %4d, recovered %4d, \
@@ -1605,17 +1234,7 @@ let recover_disk_cmd =
     Format.printf "replay stops:";
     Hashtbl.iter (fun reason n -> Format.printf " %s=%d" reason n) stops;
     Format.printf "@.";
-    Option.iter
-      (fun out ->
-        match !first_trace with
-        | Some trace ->
-            let oc = open_out out in
-            output_string oc (Fdb_obs.Chrome.to_json trace);
-            close_out oc;
-            Format.printf "first scenario's recovery trace (%d events) -> %s@."
-              (List.length trace) out
-        | None -> ())
-      trace_out;
+    write_trace ~what:"recovery" trace_out !first_trace;
     if !failures = 0 then
       Format.printf
         "recover-disk: %d crash-restart scenarios; every recovery rebuilt \
@@ -1637,15 +1256,20 @@ let recover_disk_cmd =
   in
   Cmd.v (Cmd.info "recover-disk" ~doc)
     Term.(
-      const go $ seed_arg $ txns $ clients $ relations $ tuples $ sweep
-      $ checkpoints $ sync_every $ faults $ trace_out)
+      const go
+      $ scenario "recover-disk" ~txns:(txns 8) ~relations:(relations 2)
+          ~tuples:(tuples 6)
+      $ sweep ~doc:"Consecutive seeds per (fault, checkpoint-interval) cell." 13
+      $ checkpoints $ sync_every $ faults
+      $ trace_out
+          "crash-restart trace (appends, syncs, checkpoints, replay, \
+           recovery)")
 
 (* -- wal: inspect a log directory frame by frame -------------------------------- *)
 
 let wal_cmd =
   let module Wal = Fdb_wal.Wal in
   let module Wire = Fdb_wire.Wire in
-  let module Gen = Fdb_check.Gen in
   let dir =
     Arg.(
       required
@@ -1671,13 +1295,13 @@ let wal_cmd =
         let db = ref (Gen.initial_db sc) in
         let w = Wal.create ~checkpoint_every:4 ~store !db in
         List.iter
-          (fun (m : _ Fdb_merge.Merge.tagged) ->
-            let (_, db') = Fdb_txn.Txn.translate m.Fdb_merge.Merge.item !db in
+          (fun (m : _ Merge.tagged) ->
+            let (_, db') = Txn.translate m.Merge.item !db in
             if not (db' == !db) then begin
               db := db';
               Wal.append w db'
             end)
-          (Fdb_merge.Merge.merge (Fdb_merge.Merge.Seeded seed) sc.Gen.streams);
+          (Merge.merge (Merge.Seeded seed) sc.Gen.streams);
         Wal.sync w;
         store.Wal.Store.close ())
       gen;

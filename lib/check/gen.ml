@@ -192,13 +192,9 @@ let generate spec =
   { spec; schemas; initial; streams }
 
 let initial_db s =
-  let db = Database.create s.schemas in
-  List.fold_left
-    (fun db (rel, tuples) ->
-      match Database.load db ~rel tuples with
-      | Ok db -> db
-      | Error e -> invalid_arg ("Gen.initial_db: " ^ e))
-    db s.initial
+  match Database.of_tuples s.schemas s.initial with
+  | Ok db -> db
+  | Error e -> invalid_arg ("Gen.initial_db: " ^ e)
 
 let query_count s =
   List.fold_left (fun acc stream -> acc + List.length stream) 0 s.streams

@@ -320,15 +320,6 @@ type repair_outcome = {
   repair_metrics : Fdb_obs.Metrics.snapshot;
 }
 
-let chunk_list k xs =
-  let rec go acc cur n = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | x :: rest ->
-        if n + 1 >= k then go (List.rev (x :: cur) :: acc) [] 0 rest
-        else go acc (x :: cur) (n + 1) rest
-  in
-  go [] [] 0 xs
-
 let run_repair_raw ?pool ?domains ?(batch = 8) ?max_states ~seed
     (sc : Gen.scenario) =
   if batch < 1 then invalid_arg "Sim.run_repair: batch must be >= 1";
@@ -352,7 +343,7 @@ let run_repair_raw ?pool ?domains ?(batch = 8) ?max_states ~seed
             (bid + 1) rest
     in
     let (resps, final, stats) =
-      go initial [] Exec.zero_stats 0 (chunk_list batch queries)
+      go initial [] Exec.zero_stats 0 (Exec.chunks batch queries)
     in
     (match Ix.Store.coherent (Ix.Session.store session) final with
     | Ok () -> ()

@@ -103,17 +103,9 @@ let initial_state semantics spec =
    microbatches, so it must cost O(n log n), not a quadratic list-insert
    fold. *)
 let initial_database spec =
-  List.fold_left
-    (fun db schema ->
-      let name = Schema.name schema in
-      match List.assoc_opt name spec.initial with
-      | None -> db
-      | Some tuples -> (
-          match Relation.of_tuples schema tuples with
-          | Ok rel -> Database.replace db name rel
-          | Error e -> invalid_arg ("Pipeline.initial_database: " ^ e)))
-    (Database.create spec.schemas)
-    spec.schemas
+  match Database.of_tuples spec.schemas spec.initial with
+  | Ok db -> db
+  | Error e -> invalid_arg ("Pipeline.initial_database: " ^ e)
 
 (* The durable log stores relations as keyed sets ({!Fdb_relational}), so a
    Prepend run — a multiset that keeps duplicate keys — has no faithful
@@ -869,15 +861,6 @@ type repair_report = {
   rep_stats : Fdb_repair.Exec.stats;
 }
 
-let chunks_of ~chunk xs =
-  let rec go acc cur n = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | x :: rest ->
-        if n + 1 >= chunk then go (List.rev (x :: cur) :: acc) [] 0 rest
-        else go acc (x :: cur) (n + 1) rest
-  in
-  go [] [] 0 xs
-
 let run_repair ?domains ?(batch = 16) ?pool ?wal ?index spec tagged_queries =
   if batch < 1 then invalid_arg "Pipeline.run_repair: batch must be >= 1";
   (* Relations are keyed sets, so this mode is inherently Ordered_unique
@@ -909,7 +892,7 @@ let run_repair ?domains ?(batch = 16) ?pool ?wal ?index spec tagged_queries =
             versions + (Fdb_txn.History.length r.Fdb_repair.Exec.history - 1),
             bid + 1 ))
         ([], db0, Fdb_repair.Exec.zero_stats, 1, 0)
-        (chunks_of ~chunk:batch tagged_queries)
+        (Fdb_repair.Exec.chunks batch tagged_queries)
     in
     (match wal with Some w -> Wal.sync w | None -> ());
     {

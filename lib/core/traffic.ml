@@ -72,21 +72,15 @@ let db_contents db =
       | None -> (name, []))
     (Database.names db)
 
-(* Bulk-load the initial image on the chosen backend.  [Relation.of_tuples]
+(* Bulk-load the initial image on the chosen backend.  [Database.of_tuples]
    takes the column backend's O(n log n) pack path, so million-tuple loads
    do not rebuild a chunk per tuple. *)
 let initial_db ~backend (plan : Openloop.t) =
-  List.fold_left
-    (fun db schema ->
-      let name = Schema.name schema in
-      match List.assoc_opt name plan.Openloop.initial with
-      | None -> db
-      | Some tuples -> (
-          match Relation.of_tuples ~backend schema tuples with
-          | Ok rel -> Database.replace db name rel
-          | Error e -> invalid_arg ("Traffic.drive: " ^ e)))
-    (Database.create ~backend plan.Openloop.schemas)
-    plan.Openloop.schemas
+  match
+    Database.of_tuples ~backend plan.Openloop.schemas plan.Openloop.initial
+  with
+  | Ok db -> db
+  | Error e -> invalid_arg ("Traffic.drive: " ^ e)
 
 let percentiles stats =
   ( Metrics.percentile stats 0.50,

@@ -52,6 +52,20 @@ let load db ~rel tuples =
       | Ok db -> Result.map fst (insert db ~rel tup))
     (Ok db) tuples
 
+let of_tuples ?backend schemas initial =
+  let rec go db = function
+    | [] -> Ok db
+    | schema :: rest -> (
+        let name = Schema.name schema in
+        match List.assoc_opt name initial with
+        | None -> go db rest
+        | Some tuples -> (
+            match Relation.of_tuples ?backend schema tuples with
+            | Ok rel -> go (replace db name rel) rest
+            | Error _ as e -> e))
+  in
+  go (create ?backend schemas) schemas
+
 let shares_relation ~old db name =
   match (relation old name, relation db name) with
   | (Some a, Some b) -> a == b

@@ -31,6 +31,18 @@ val total_tuples : t -> int
 val load : t -> rel:string -> Tuple.t list -> (t, string) result
 (** Bulk insert. *)
 
+val of_tuples :
+  ?backend:Relation.backend ->
+  Schema.t list ->
+  (string * Tuple.t list) list ->
+  (t, string) result
+(** [of_tuples schemas initial] is one relation per schema, each
+    bulk-built by {!Relation.of_tuples} from its [initial] tuples (empty
+    when absent): value-equal to a {!load} fold but O(n log n) per
+    relation on the list and column backends.  Names in [initial] with no
+    schema are ignored.  [Error] carries the first schema mismatch.
+    @raise Invalid_argument on duplicate relation names. *)
+
 val shares_relation : old:t -> t -> string -> bool
 (** Is the named relation physically the same object in both versions? *)
 

@@ -240,3 +240,12 @@ let run_batch ?pool ?domains ?index ?(batch_id = 0) db0 queries =
     }
   in
   match pool with Some p -> go p | None -> Pool.with_pool ?domains go
+
+let chunks k xs =
+  let rec go acc cur n = function
+    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
+    | x :: rest ->
+        if n + 1 >= k then go (List.rev (x :: cur) :: acc) [] 0 rest
+        else go acc (x :: cur) (n + 1) rest
+  in
+  go [] [] 0 xs

@@ -71,3 +71,8 @@ val run_batch :
     each commit advances the indexes from the transaction's recorded
     effects at the serial commit point, so indexes and base relations move
     in lockstep in batch order. *)
+
+val chunks : int -> 'a list -> 'a list list
+(** [chunks k xs] cuts [xs] into consecutive batches of [k] elements in
+    order, the last one possibly shorter — how a stream is fed to
+    {!run_batch}.  [k] must be >= 1. *)
