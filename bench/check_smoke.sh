@@ -54,8 +54,15 @@ echo 'select val from R where key >= 3 and key < 9' \
   | "$FDBSIM" explain | grep -q "range scan"
 WALDIR="${TMPDIR:-/tmp}/fdbsim_wal_smoke.$$"
 rm -rf "$WALDIR"
-"$FDBSIM" wal --dir "$WALDIR" --gen 3 | grep -q "^recovery: .*, clean$"
+WALOUT=$("$FDBSIM" wal --dir "$WALDIR" --gen 3)
 rm -rf "$WALDIR"
+echo "$WALOUT" | grep -q "^recovery: .*, clean$"
+# each delta frame lists its per-slot key-change counts
+echo "$WALOUT" | grep -q " delta .*, key changes \[slot [0-9]*: [1-9][0-9]*\]$" || {
+  echo "fdbsim wal does not print a delta's key changes:" >&2
+  echo "$WALOUT" >&2
+  exit 1
+}
 # CLI contract: a bad sweep parameter is a usage error — exit status 2 and
 # a one-line "fdbsim <cmd>: ..." message on stderr.
 ERR="${TMPDIR:-/tmp}/fdbsim_usage_smoke.$$"

@@ -1325,13 +1325,31 @@ let wal_cmd =
               | Wire.Torn { offset; reason } ->
                   Format.printf "  @@%-8d torn: %s@." offset reason
               | Wire.Frame { kind; payload; next } ->
-                  let (version, _) = Wire.read_int payload ~pos:0 in
-                  Format.printf "  @@%-8d %-10s v%-5d %6d bytes, crc ok@." pos
+                  let (version, p) = Wire.read_int payload ~pos:0 in
+                  (* a delta's per-slot key-change counts *)
+                  let keys =
+                    match kind with
+                    | Wire.Checkpoint -> ""
+                    | Wire.Delta -> (
+                        match Wire.delta_key_changes payload ~pos:p with
+                        | slots ->
+                            ", key changes ["
+                            ^ String.concat ", "
+                                (List.map
+                                   (fun (slot, n) ->
+                                     Printf.sprintf "slot %d: %d" slot n)
+                                   slots)
+                            ^ "]"
+                        | exception Wire.Corrupt { reason; _ } ->
+                            ", undecodable: " ^ reason)
+                  in
+                  Format.printf "  @@%-8d %-10s v%-5d %6d bytes, crc ok%s@." pos
                     (match kind with
                     | Wire.Checkpoint -> "checkpoint"
                     | Wire.Delta -> "delta")
                     version
-                    (String.length payload);
+                    (String.length payload)
+                    keys;
                   walk next
             in
             walk 0)

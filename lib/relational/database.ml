@@ -8,6 +8,8 @@ let create ?backend schemas =
 
 let names db = List.map fst db.rels
 
+let slots db = db.rels
+
 let relation db name = List.assoc_opt name db.rels
 
 let schema_of db name = Option.map Relation.schema (relation db name)
@@ -70,6 +72,18 @@ let shares_relation ~old db name =
   match (relation old name, relation db name) with
   | (Some a, Some b) -> a == b
   | _ -> false
+
+let changed_slots ~old db =
+  let mismatch () = invalid_arg "Database.changed_slots: relation sets differ" in
+  let rec go i acc a b =
+    match (a, b) with
+    | ([], []) -> List.rev acc
+    | ((n, ra) :: a', (m, rb) :: b') ->
+        if not (String.equal n m) then mismatch ();
+        go (i + 1) (if ra == rb then acc else (i, n, ra, rb) :: acc) a' b'
+    | _ -> mismatch ()
+  in
+  if old == db then [] else go 0 [] old.rels db.rels
 
 let pp ppf db =
   Format.fprintf ppf "@[<v>%a@]"

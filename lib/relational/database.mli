@@ -11,6 +11,9 @@ val create : ?backend:Relation.backend -> Schema.t list -> t
 
 val names : t -> string list
 
+val slots : t -> (string * Relation.t) list
+(** Every relation with its name, in slot order (the order of {!names}). *)
+
 val relation : t -> string -> Relation.t option
 
 val schema_of : t -> string -> Schema.t option
@@ -45,5 +48,12 @@ val of_tuples :
 
 val shares_relation : old:t -> t -> string -> bool
 (** Is the named relation physically the same object in both versions? *)
+
+val changed_slots :
+  old:t -> t -> (int * string * Relation.t * Relation.t) list
+(** [(slot, name, old relation, new relation)] for every slot not
+    physically shared between the two versions, in slot order: one
+    pairwise walk, O(R) in the number of relations.
+    @raise Invalid_argument when the versions' relation sets differ. *)
 
 val pp : Format.formatter -> t -> unit

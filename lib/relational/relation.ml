@@ -243,6 +243,53 @@ let shared_units ~old r =
   | (C o, C n) -> CO.shared_chunks ~old:o n
   | _ -> invalid_arg "Relation.shared_units: backend mismatch"
 
+(* Bit-exact value identity: unlike [Value.equal], tells 0.0 from -0.0, so
+   applying a diff reproduces every value the log promises. *)
+let same_value a b =
+  match (a, b) with
+  | (Value.Real x, Value.Real y) ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> Value.equal a b
+
+let same_tuple a b =
+  Tuple.arity a = Tuple.arity b && Array.for_all2 same_value a b
+
+(* One sorted merge over both versions, whatever the backend: the key walk
+   costs O(n), and the per-tuple [==] test settles every tuple an update
+   path-copied around without comparing its values. *)
+let diff ~old r =
+  let change tup = (Tuple.key tup, Some tup) and gone tup = (Tuple.key tup, None) in
+  let rec go acc xs ys =
+    match (xs, ys) with
+    | ([], []) -> List.rev acc
+    | (x :: xs', []) -> go (gone x :: acc) xs' []
+    | ([], y :: ys') -> go (change y :: acc) [] ys'
+    | (x :: xs', y :: ys') ->
+        if x == y then go acc xs' ys'
+        else
+          let c = Tuple.compare_key x y in
+          if c < 0 then go (gone x :: acc) xs' ys
+          else if c > 0 then go (change y :: acc) xs ys'
+          else if same_tuple x y then go acc xs' ys'
+          else go (change y :: acc) xs' ys'
+  in
+  if old == r then [] else go [] (to_list old) (to_list r)
+
+let apply_diff r changes =
+  let step acc (key, change) =
+    match acc with
+    | Error _ -> acc
+    | Ok r -> (
+        let (r, _) = delete_key r key in
+        match change with
+        | None -> Ok r
+        | Some tup ->
+            if Tuple.arity tup = 0 || not (Value.equal (Tuple.key tup) key)
+            then Error "Relation.apply_diff: tuple key differs from its change key"
+            else Result.map fst (insert r tup))
+  in
+  List.fold_left step (Ok r) changes
+
 let column_chunks r = match r.repr with C c -> CO.chunks_cols c | _ -> [||]
 
 let pp ppf r =

@@ -96,6 +96,20 @@ val shared_units : old:t -> t -> int * int
     the backend) of the new version against the old.  Both must use the
     same backend. @raise Invalid_argument otherwise. *)
 
+val diff : old:t -> t -> (Value.t * Tuple.t option) list
+(** The key-level changes that turn [old] into the new version, ascending
+    by key: [(k, Some tup)] for a tuple inserted or rewritten, [(k, None)]
+    for a deleted key.  Tuples equal in every value (bit-exact for reals)
+    are not changes, so identical versions diff to [[]].  One sorted merge
+    over both versions, backend-agnostic: O(size old + size new). *)
+
+val apply_diff :
+  t -> (Value.t * Tuple.t option) list -> (t, string) result
+(** [apply_diff old (diff ~old r)] has [r]'s contents, in [old]'s
+    backend.  Each change replaces or removes its key, in list order.
+    [Error] on a tuple that does not match the schema or whose key is not
+    its change key. *)
+
 val column_chunks : t -> Value.t array array array
 (** The packed per-chunk column arrays of a {!constructor:Column_backend}
     relation, ascending: element [ci] is chunk [ci]'s columns,

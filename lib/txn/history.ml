@@ -67,23 +67,21 @@ let query_at t i query = fst (Txn.translate query (version t i))
 let changed_relations t i =
   if i <= 0 then []
   else
-    let before = version t (i - 1) and after = version t i in
-    List.filter
-      (fun name -> not (Database.shares_relation ~old:before after name))
-      (Database.names after)
+    List.map
+      (fun (_, name, _, _) -> name)
+      (Database.changed_slots ~old:(version t (i - 1)) (version t i))
 
 let sharing_ratio t =
   let n = length t in
   if n < 2 then 1.0
   else begin
-    let shared = ref 0 and total = ref 0 in
+    let changed = ref 0 in
     for i = 1 to n - 1 do
-      let before = version t (i - 1) and after = version t i in
-      List.iter
-        (fun name ->
-          incr total;
-          if Database.shares_relation ~old:before after name then incr shared)
-        (Database.names after)
+      changed :=
+        !changed
+        + List.length
+            (Database.changed_slots ~old:(version t (i - 1)) (version t i))
     done;
-    float_of_int !shared /. float_of_int !total
+    let total = (n - 1) * List.length (Database.names (latest t)) in
+    float_of_int (total - !changed) /. float_of_int total
   end

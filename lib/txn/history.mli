@@ -57,9 +57,12 @@ val query_at : t -> int -> Fdb_query.Ast.query -> Txn.response
     not extended, and an update query's new version is discarded). *)
 
 val changed_relations : t -> int -> string list
-(** Relations physically replaced by version [i] (relative to [i - 1]);
-    empty for version 0 or read-only transactions. *)
+(** Relations physically replaced by version [i] (relative to [i - 1]),
+    in slot order ({!Fdb_relational.Database.changed_slots}); empty for
+    version 0 or read-only transactions.
+    @raise Invalid_argument if the two versions' relation sets differ. *)
 
 val sharing_ratio : t -> float
 (** Across consecutive versions, the fraction of relation slots physically
-    shared — the archive-cheapness measurement (1.0 = everything shared). *)
+    shared — the archive-cheapness measurement (1.0 = everything shared).
+    @raise Invalid_argument if consecutive versions' relation sets differ. *)

@@ -175,10 +175,11 @@ let latest w = History.latest w.history
 (* Write and sync a checkpoint frame as the head of segment [seg]: the
    covered version index, then a one-version archive of that database. *)
 let write_checkpoint store ~seg ~upto db =
-  let b = Buffer.create 1024 in
-  Wire.write_int b upto;
-  Buffer.add_string b (Wire.encode_archive (History.create db));
-  let fr = Wire.frame ~kind:Wire.Checkpoint (Buffer.contents b) in
+  let fr =
+    Wire.frame_with ~kind:Wire.Checkpoint (fun b ->
+        Wire.write_int b upto;
+        Wire.write_archive b (History.create db))
+  in
   store.Store.append (seg_name seg) fr;
   store.Store.sync (seg_name seg);
   emit (Event.Wal_checkpoint { upto; bytes = String.length fr; segment = seg });
@@ -238,10 +239,11 @@ let create ?sync_every ?checkpoint_every ~store db =
 let append w db =
   let prev = latest w in
   let idx = appended w + 1 in
-  let b = Buffer.create 256 in
-  Wire.write_int b idx;
-  Buffer.add_string b (Wire.encode_version ~prev db);
-  let fr = Wire.frame ~kind:Wire.Delta (Buffer.contents b) in
+  let fr =
+    Wire.frame_with ~kind:Wire.Delta (fun b ->
+        Wire.write_int b idx;
+        Buffer.add_string b (Wire.encode_version ~prev db))
+  in
   w.store.Store.append (seg_name w.seg) fr;
   w.history <- History.append w.history db;
   w.unsynced <- w.unsynced + 1;

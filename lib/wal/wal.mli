@@ -14,8 +14,15 @@
 
     Every segment begins with a {b checkpoint frame} — the version index it
     covers plus a one-version archive of that database — followed by
-    {b delta frames}, each carrying its version index and the changed
-    relation slots against the previous version.  Recovery
+    {b delta frames}, each carrying its version index and the key-level
+    changes against the previous version ({!Fdb_wire.Wire.encode_version}):
+    for each relation slot the commit replaced, a put per inserted or
+    rewritten tuple and a delete per removed key.  A delta is sized by
+    what the transaction changed, not by the relations it touched — the
+    paper's version i+1 as version i plus one transaction's effects.
+    Since frame format version 2 (which introduced these deltas), a log
+    written in format 1 has no readable checkpoint and {!val:recover}
+    rejects it with {!Fdb_wire.Wire.Corrupt}; it is never misread.  Recovery
     ({!val:recover}) picks the newest segment whose checkpoint frame is
     intact, rebuilds that database, and replays the delta suffix in order,
     stopping cleanly at the first torn, truncated, checksum-corrupt or
@@ -100,8 +107,8 @@ val create :
     @raise Invalid_argument on negative parameters. *)
 
 val append : writer -> Database.t -> unit
-(** Log the next committed version: encodes the delta against the current
-    newest version, buffers the frame, and applies the group-sync /
+(** Log the next committed version: encodes its key-level delta against the
+    current newest version, buffers the frame, and applies the group-sync /
     checkpoint policy. *)
 
 val sync : writer -> unit
@@ -153,7 +160,7 @@ val recover : Store.t -> recovery
     Emits [Wal_replay] / [Wal_recovered] trace events and [wal.*] metrics.
     @raise Fdb_wire.Wire.Corrupt if no segment holds an intact checkpoint,
     or if a checksum-valid frame is structurally invalid (real corruption,
-    not a torn write). *)
+    not a torn write), including a log written in frame format 1. *)
 
 val resume :
   ?sync_every:int -> ?checkpoint_every:int -> store:Store.t -> recovery ->

@@ -6,44 +6,87 @@ exception Corrupt of { offset : int; reason : string }
 let corrupt offset fmt =
   Format.kasprintf (fun reason -> raise (Corrupt { offset; reason })) fmt
 
-(* -- CRC32c (Castagnoli), table-driven, reflected ------------------------- *)
+(* -- CRC32c (Castagnoli), table-driven, reflected -------------------------
 
-let crc_table =
-  lazy
-    (let t = Array.make 256 0l in
-     for n = 0 to 255 do
-       let c = ref (Int32.of_int n) in
-       for _ = 0 to 7 do
-         c :=
-           if Int32.logand !c 1l <> 0l then
-             Int32.logxor (Int32.shift_right_logical !c 1) 0x82F63B78l
-           else Int32.shift_right_logical !c 1
-       done;
-       t.(n) <- !c
-     done;
-     t)
+   The state is a native int holding 32 bits, so the loops allocate
+   nothing.  Table [k] (entries [256k .. 256k+255]) advances a byte [k]
+   positions further than table 0, the classic byte table, so the main
+   loop folds eight bytes per step ("slicing-by-8").  The tables are built
+   on first use, so a program that never checksums never holds them;
+   domains racing on that first use each build identical tables, and
+   either may publish — no lock, and no [Lazy.Undefined] on a pool
+   domain. *)
+
+let crc_tables = Atomic.make [||]
+
+let crc_byte t c byte = Array.unsafe_get t ((c lxor byte) land 0xFF) lxor (c lsr 8)
+
+let tables () =
+  let t = Atomic.get crc_tables in
+  if Array.length t > 0 then t
+  else begin
+    let t = Array.make (8 * 256) 0 in
+    for n = 0 to 255 do
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then (!c lsr 1) lxor 0x82F63B78 else !c lsr 1
+      done;
+      t.(n) <- !c
+    done;
+    for i = 256 to (8 * 256) - 1 do
+      t.(i) <- crc_byte t t.(i - 256) 0
+    done;
+    Atomic.set crc_tables t;
+    t
+  end
+
+(* An unsigned 32-bit little-endian field as a native int. *)
+let le32 s pos = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF
 
 (* Raw update: feed bytes into a running (pre-finalization) crc state. *)
 let crc_feed state s pos len =
-  let t = Lazy.force crc_table in
-  let c = ref state in
-  for i = pos to pos + len - 1 do
-    let idx =
-      Int32.to_int
-        (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code s.[i]))) 0xFFl)
-    in
-    c := Int32.logxor t.(idx) (Int32.shift_right_logical !c 8)
+  let t = tables () in
+  let slice k v = Array.unsafe_get t ((k * 256) + (v land 0xFF)) in
+  let c = ref state and i = ref pos in
+  let stop8 = pos + len - 8 in
+  while !i <= stop8 do
+    let lo = !c lxor le32 s !i and hi = le32 s (!i + 4) in
+    c :=
+      slice 7 lo
+      lxor slice 6 (lo lsr 8)
+      lxor slice 5 (lo lsr 16)
+      lxor slice 4 (lo lsr 24)
+      lxor slice 3 hi
+      lxor slice 2 (hi lsr 8)
+      lxor slice 1 (hi lsr 16)
+      lxor slice 0 (hi lsr 24);
+    i := !i + 8
+  done;
+  for j = !i to pos + len - 1 do
+    c := crc_byte t !c (Char.code s.[j])
   done;
   !c
 
-let crc_init = 0xFFFFFFFFl
-let crc_finish c = Int32.logxor c 0xFFFFFFFFl
-let crc32c s = crc_finish (crc_feed crc_init s 0 (String.length s))
+let crc_init = 0xFFFFFFFF
+let crc_finish c = c lxor 0xFFFFFFFF
+let crc32c s = Int32.of_int (crc_finish (crc_feed crc_init s 0 (String.length s)))
 
 (* -- writer primitives ----------------------------------------------------- *)
 
+(* Decimal digits straight into [b], the same bytes as [string_of_int]
+   but with no intermediate string: the recursion (at most 19 deep) holds
+   the higher digits, so no buffer is shared between callers.  Digits come
+   from the non-positive magnitude, which holds [min_int] too. *)
+let rec w_digits b m =
+  if m <= -10 then w_digits b (m / 10);
+  Buffer.add_char b (Char.unsafe_chr (Char.code '0' - (m mod 10)))
+
 let w_int b n =
-  Buffer.add_string b (string_of_int n);
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    w_digits b n
+  end
+  else w_digits b (-n);
   Buffer.add_char b ';'
 
 let w_str b s =
@@ -67,7 +110,9 @@ let w_value b = function
 
 let w_tuple b tup =
   w_int b (Tuple.arity tup);
-  Array.iter (w_value b) tup
+  for i = 0 to Tuple.arity tup - 1 do
+    w_value b (Tuple.get tup i)
+  done
 
 let w_backend b = function
   | Relation.List_backend -> Buffer.add_char b 'L'
@@ -96,14 +141,8 @@ let w_schema b schema =
     cols
 
 let w_relation_body b rel =
-  let tuples = Relation.to_list rel in
-  w_int b (List.length tuples);
-  List.iter (w_tuple b) tuples
-
-let relation_exn db name =
-  match Database.relation db name with
-  | Some r -> r
-  | None -> invalid_arg "Wire: relation vanished mid-archive"
+  w_int b (Relation.size rel);
+  Relation.iter (w_tuple b) rel
 
 let write_int = w_int
 
@@ -162,7 +201,7 @@ let r_value r =
 let r_tuple r =
   let at = r.pos in
   let arity = r_int r in
-  if arity < 0 then corrupt at "bad arity %d" arity;
+  if arity < 1 then corrupt at "bad arity %d" arity;
   Tuple.make (List.init arity (fun _ -> r_value r))
 
 let r_backend r =
@@ -210,42 +249,41 @@ let r_relation_body r ~backend schema =
 
 let magic = "FDBSNAP1"
 
-let encode_archive ?(changed_only = true) history =
-  let b = Buffer.create 4096 in
+let write_archive ?(changed_only = true) b history =
   Buffer.add_string b magic;
   let n = History.length history in
   let v0 = History.version history 0 in
-  let names = Database.names v0 in
+  let slots0 = Database.slots v0 in
   w_int b n;
-  w_int b (List.length names);
+  w_int b (List.length slots0);
   List.iter
-    (fun name ->
-      let rel = relation_exn v0 name in
+    (fun (_, rel) ->
       w_schema b (Relation.schema rel);
       w_backend b (Relation.backend rel))
-    names;
+    slots0;
   (* version 0: everything *)
-  List.iter (fun name -> w_relation_body b (relation_exn v0 name)) names;
+  List.iter (fun (_, rel) -> w_relation_body b rel) slots0;
   (* later versions: indices of replaced slots, then their bodies *)
   for i = 1 to n - 1 do
-    let before = History.version history (i - 1) in
     let after = History.version history i in
     let changed =
-      List.filteri
-        (fun _ name ->
-          (not changed_only)
-          || not (Database.shares_relation ~old:before after name))
-        names
+      if changed_only then
+        List.map
+          (fun (idx, _, _, rel) -> (idx, rel))
+          (Database.changed_slots ~old:(History.version history (i - 1)) after)
+      else List.mapi (fun idx (_, rel) -> (idx, rel)) (Database.slots after)
     in
     w_int b (List.length changed);
     List.iter
-      (fun name ->
-        (match List.find_index (String.equal name) names with
-        | Some idx -> w_int b idx
-        | None -> invalid_arg "Wire: relation vanished mid-archive");
-        w_relation_body b (relation_exn after name))
+      (fun (idx, rel) ->
+        w_int b idx;
+        w_relation_body b rel)
       changed
-  done;
+  done
+
+let encode_archive ?changed_only history =
+  let b = Buffer.create 4096 in
+  write_archive ?changed_only b history;
   Buffer.contents b
 
 let decode_archive_sub src ~pos =
@@ -302,46 +340,85 @@ let decode_archive src =
     corrupt next "trailing bytes after archive";
   history
 
-(* -- single-version deltas -------------------------------------------------- *)
+(* -- single-version deltas ----------------------------------------------------
+
+   A delta is one commit's key-level changes, sized by what the commit did
+   rather than by the relations it touched:
+
+     delta  := nslots ';' slot*
+     slot   := index ';' nchanges ';' change*      (ascending slot index)
+     change := 'P' tuple | 'D' key-value           (ascending key)
+
+   'P' puts a tuple (insert or rewrite of its key), 'D' deletes a key. *)
 
 let encode_version ~prev next =
-  let b = Buffer.create 256 in
-  let names = Database.names prev in
-  let changed =
-    List.filter
-      (fun name -> not (Database.shares_relation ~old:prev next name))
-      names
-  in
+  let b = Buffer.create 64 in
+  let changed = Database.changed_slots ~old:prev next in
   w_int b (List.length changed);
   List.iter
-    (fun name ->
-      (match List.find_index (String.equal name) names with
-      | Some idx -> w_int b idx
-      | None -> invalid_arg "Wire: relation vanished mid-delta");
-      w_relation_body b (relation_exn next name))
+    (fun (idx, _, old, rel) ->
+      let changes = Relation.diff ~old rel in
+      w_int b idx;
+      w_int b (List.length changes);
+      List.iter
+        (function
+          | (_, Some tup) ->
+              Buffer.add_char b 'P';
+              w_tuple b tup
+          | (key, None) ->
+              Buffer.add_char b 'D';
+              w_value b key)
+        changes)
     changed;
   Buffer.contents b
 
+let r_change r =
+  let at = r.pos in
+  match r_char r with
+  | 'P' ->
+      let tup = r_tuple r in
+      (Tuple.key tup, Some tup)
+  | 'D' -> (r_value r, None)
+  | c -> corrupt at "bad change tag %C" c
+
+(* The slots of a delta as [(offset, index, changes)], unchecked against
+   any base version. *)
+let r_delta r =
+  let at = r.pos in
+  let nslots = r_int r in
+  if nslots < 0 then corrupt at "bad change count %d" nslots;
+  List.init nslots (fun _ ->
+      let sat = r.pos in
+      let idx = r_int r in
+      let cat = r.pos in
+      let nchanges = r_int r in
+      if nchanges < 0 then corrupt cat "bad key change count %d" nchanges;
+      (sat, idx, List.init nchanges (fun _ -> r_change r)))
+
+let delta_key_changes src ~pos =
+  List.map
+    (fun (_, idx, changes) -> (idx, List.length changes))
+    (r_delta { src; pos })
+
 let decode_version_sub ~prev src ~pos =
   let r = { src; pos } in
-  let names = Array.of_list (Database.names prev) in
-  let nrels = Array.length names in
+  let slots = Array.of_list (Database.slots prev) in
+  let nrels = Array.length slots in
   let at = r.pos in
-  let nchanged = r_int r in
-  if nchanged < 0 || nchanged > nrels then
-    corrupt at "bad change count %d" nchanged;
-  let db = ref prev in
-  for _ = 1 to nchanged do
-    let iat = r.pos in
-    let idx = r_int r in
-    if idx < 0 || idx >= nrels then corrupt iat "bad relation index %d" idx;
-    let rel = relation_exn prev names.(idx) in
-    db :=
-      Database.replace !db names.(idx)
-        (r_relation_body r ~backend:(Relation.backend rel)
-           (Relation.schema rel))
-  done;
-  (!db, r.pos)
+  let delta = r_delta r in
+  if List.length delta > nrels then
+    corrupt at "bad change count %d" (List.length delta);
+  let db =
+    List.fold_left
+      (fun db (sat, idx, changes) ->
+        if idx < 0 || idx >= nrels then corrupt sat "bad relation index %d" idx;
+        let (name, rel) = slots.(idx) in
+        match Relation.apply_diff rel changes with
+        | Ok rel' -> Database.replace db name rel'
+        | Error m -> corrupt sat "bad key changes: %s" m)
+      prev delta
+  in
+  (db, r.pos)
 
 let decode_version ~prev src =
   let (db, next) = decode_version_sub ~prev src ~pos:0 in
@@ -394,42 +471,35 @@ let r_col_value r ctype =
 
 type kind = Checkpoint | Delta
 
-let format_version = '\001'
+let format_version = '\002'
 let frame_overhead = 10
 
 let kind_char = function Checkpoint -> 'C' | Delta -> 'D'
 let kind_of_char = function 'C' -> Some Checkpoint | 'D' -> Some Delta | _ -> None
 
-let put_le32 b (v : int32) =
-  for i = 0 to 3 do
-    Buffer.add_char b
-      (Char.chr
-         (Int32.to_int
-            (Int32.logand (Int32.shift_right_logical v (8 * i)) 0xFFl)))
-  done
-
-let get_le32 s pos =
-  let byte i = Int32.of_int (Char.code s.[pos + i]) in
-  Int32.logor (byte 0)
-    (Int32.logor
-       (Int32.shift_left (byte 1) 8)
-       (Int32.logor
-          (Int32.shift_left (byte 2) 16)
-          (Int32.shift_left (byte 3) 24)))
+(* Fill in the header of [b], whose payload is already in place past the
+   first [frame_overhead] bytes. *)
+let seal ~kind b =
+  let len = Bytes.length b - frame_overhead in
+  Bytes.set_int32_le b 0 (Int32.of_int len);
+  Bytes.set b 4 format_version;
+  Bytes.set b 5 (kind_char kind);
+  let s = Bytes.unsafe_to_string b in
+  let crc = crc_feed (crc_feed crc_init s 4 2) s frame_overhead len in
+  Bytes.set_int32_le b 6 (Int32.of_int (crc_finish crc));
+  Bytes.unsafe_to_string b
 
 let frame ~kind payload =
   let len = String.length payload in
-  let b = Buffer.create (len + frame_overhead) in
-  put_le32 b (Int32.of_int len);
-  Buffer.add_char b format_version;
-  Buffer.add_char b (kind_char kind);
-  let meta = Printf.sprintf "%c%c" format_version (kind_char kind) in
-  let crc =
-    crc_finish (crc_feed (crc_feed crc_init meta 0 2) payload 0 len)
-  in
-  put_le32 b crc;
-  Buffer.add_string b payload;
-  Buffer.contents b
+  let b = Bytes.create (len + frame_overhead) in
+  Bytes.blit_string payload 0 b frame_overhead len;
+  seal ~kind b
+
+let frame_with ~kind write =
+  let b = Buffer.create 256 in
+  Buffer.add_string b (String.make frame_overhead '\000');
+  write b;
+  seal ~kind (Buffer.to_bytes b)
 
 type frame_result =
   | Frame of { kind : kind; payload : string; next : int }
@@ -447,11 +517,9 @@ let read_frame src ~pos =
     torn pos "truncated frame header (%d of %d bytes)" (len_src - pos)
       frame_overhead
   else
-    let plen32 = get_le32 src pos in
-    if Int32.compare plen32 0l < 0 || Int32.compare plen32 0x7FFFFFFFl >= 0
-    then torn pos "implausible payload length"
+    let plen = le32 src pos in
+    if plen >= 0x7FFFFFFF then torn pos "implausible payload length"
     else
-      let plen = Int32.to_int plen32 in
       if src.[pos + 4] <> format_version then
         torn (pos + 4) "unknown format version %d" (Char.code src.[pos + 4])
       else
@@ -465,7 +533,7 @@ let read_frame src ~pos =
                 (len_src - pos - frame_overhead)
                 plen
             else
-              let stored = get_le32 src (pos + 6) in
+              let stored = le32 src (pos + 6) in
               let crc =
                 crc_finish
                   (crc_feed
@@ -474,8 +542,8 @@ let read_frame src ~pos =
                      (pos + frame_overhead)
                      plen)
               in
-              if not (Int32.equal crc stored) then
-                torn pos "checksum mismatch (stored %08lx, computed %08lx)"
+              if crc <> stored then
+                torn pos "checksum mismatch (stored %08x, computed %08x)"
                   stored crc
               else
                 Frame

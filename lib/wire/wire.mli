@@ -19,10 +19,15 @@
     crashing.  Structural corruption {e inside} a checksum-valid payload —
     which a torn write cannot produce — raises {!Corrupt}.
 
+    The version byte is 2.  Version 1 frames (whose delta payloads carried
+    whole relation bodies) read as {!Torn}, so an old log is rejected,
+    never misread as key-level changes.
+
     Payload codecs: a whole {!Fdb_txn.History.t} (version 0 in full, later
     versions as changed-relation deltas exploiting structure sharing — the
     encoding {!Fdb_replica} proved over the network) and a single-version
-    delta against a known predecessor (the WAL record). *)
+    delta against a known predecessor (the WAL record), which carries only
+    the key-level changes of the relations the version replaced. *)
 
 open Fdb_relational
 
@@ -39,6 +44,11 @@ type kind = Checkpoint | Delta
 
 val frame : kind:kind -> string -> string
 (** Wrap a payload in a framed record as diagrammed above. *)
+
+val frame_with : kind:kind -> (Buffer.t -> unit) -> string
+(** [frame_with ~kind write] is [frame ~kind payload] for the [payload]
+    that [write] appends to the buffer it is given, built without an
+    intermediate payload string (a checkpoint is megabytes). *)
 
 val frame_overhead : int
 (** Header bytes per frame (10). *)
@@ -59,6 +69,9 @@ val encode_archive : ?changed_only:bool -> Fdb_txn.History.t -> string
     relations only.  [~changed_only:false] writes every version in full
     (the no-sharing control for the ablation). *)
 
+val write_archive : ?changed_only:bool -> Buffer.t -> Fdb_txn.History.t -> unit
+(** {!encode_archive} appended to a buffer. *)
+
 val decode_archive : string -> Fdb_txn.History.t
 (** Inverse of {!encode_archive}, up to physical representation inside a
     relation (tuples are bulk-reloaded into the recorded backend); decoded
@@ -75,21 +88,37 @@ val decode_archive_sub : string -> pos:int -> Fdb_txn.History.t * int
 (** {1 Single-version deltas} *)
 
 val encode_version : prev:Database.t -> Database.t -> string
-(** The relations of [next] not physically shared with [prev]
-    ({!Fdb_relational.Database.shares_relation}), as slot indices and
-    bodies — the WAL record for one committed version.  [prev] and [next]
-    must have the same relation set (the invariant {!Database} enforces). *)
+(** The WAL record for one committed version: for each slot of [next] not
+    physically shared with [prev] ({!Fdb_relational.Database.changed_slots}),
+    its index and its key-level changes ({!Fdb_relational.Relation.diff}):
+    a put of each inserted or rewritten tuple and a delete of each removed
+    key, in key order.  A one-tuple update costs a few dozen bytes however
+    large its relation.  [prev] and [next] must have the same relation set
+    (the invariant {!Database} enforces).
+
+    {v
+      delta  := nslots ';' slot*
+      slot   := index ';' nchanges ';' change*
+      change := 'P' tuple | 'D' key-value
+    v} *)
 
 val decode_version_sub :
   prev:Database.t -> string -> pos:int -> Database.t * int
-(** Apply an encoded delta to [prev], returning the reconstructed version
-    and the offset just past the bytes consumed.  Unchanged slots are
-    physically shared with [prev].
+(** Apply an encoded delta's key changes to [prev]
+    ({!Fdb_relational.Relation.apply_diff}), returning the reconstructed
+    version and the offset just past the bytes consumed.  Unchanged slots
+    are physically shared with [prev]; a changed slot keeps [prev]'s
+    backend.
     @raise Corrupt on invalid input. *)
 
 val decode_version : prev:Database.t -> string -> Database.t
 (** {!decode_version_sub} over the whole string.
     @raise Corrupt on invalid input or trailing bytes. *)
+
+val delta_key_changes : string -> pos:int -> (int * int) list
+(** [(slot index, key changes)] for each slot of the delta encoded at
+    [pos], read without a base version — for inspecting a log.
+    @raise Corrupt on invalid input. *)
 
 (** {1 Chunked column payloads} *)
 
@@ -118,6 +147,8 @@ val decode_chunked : string -> Relation.t
     version-index prefix on each delta payload) stay in one codec. *)
 
 val write_int : Buffer.t -> int -> unit
+(** The digits of [string_of_int n] then [';'], written straight into the
+    buffer with no intermediate allocation; safe to call from any domain. *)
 
 val read_int : string -> pos:int -> int * int
 (** [read_int s ~pos] is [(n, next)].

@@ -232,6 +232,127 @@ let prop_backends_agree =
         [ Relation.Avl_backend; Relation.Two3_backend; Relation.Btree_backend 4;
           Relation.Column_backend 4 ])
 
+(* -- key-level diffs ----------------------------------------------------------
+
+   [Relation.diff ~old r] is the change set the log writes for one commit;
+   [Relation.apply_diff] is recovery's replay of it.  Applying the diff to
+   [old] must give [r]'s contents on every backend, value for value (reals
+   bit for bit, so 0.0 and -0.0 are different values here). *)
+
+let diff_schema =
+  Schema.make ~name:"D"
+    ~cols:
+      [ ("key", Schema.CInt); ("n", Schema.CInt); ("s", Schema.CStr);
+        ("r", Schema.CReal) ]
+
+let diff_row k (n, s, r) = Tuple.make [ v_int k; v_int n; v_str s; Value.Real r ]
+
+let exact_value a b =
+  match (a, b) with
+  | (Value.Real x, Value.Real y) ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> Value.equal a b
+
+let exact_tuples a b =
+  List.equal
+    (fun x y -> Tuple.arity x = Tuple.arity y && Array.for_all2 exact_value x y)
+    a b
+
+let diff_rel backend rows =
+  match
+    Relation.of_tuples ~backend diff_schema
+      (List.map (fun (k, row) -> diff_row k row) rows)
+  with
+  | Ok r -> r
+  | Error e -> failwith e
+
+let replays ~old r =
+  let d = Relation.diff ~old r in
+  match Relation.apply_diff old d with
+  | Ok r' -> exact_tuples (Relation.to_list r') (Relation.to_list r)
+  | Error e -> failwith e
+
+type diff_op =
+  | Put of int * (int * string * float)  (* delete, then insert anew *)
+  | Del of int
+  | Set of int * (int * string * float)  (* rewrite the non-key columns *)
+
+let apply_op r = function
+  | Put (k, row) -> (
+      let (r, _) = Relation.delete_key r (v_int k) in
+      match Relation.insert r (diff_row k row) with
+      | Ok (r, _) -> r
+      | Error e -> failwith e)
+  | Del k -> fst (Relation.delete_key r (v_int k))
+  | Set (k, row) ->
+      fst
+        (Relation.update ~lo:(Relation.Inclusive (v_int k))
+           ~hi:(Relation.Inclusive (v_int k)) r (fun _ -> Some (diff_row k row)))
+
+let gen_diff_row =
+  QCheck2.Gen.(
+    triple
+      (oneof [ int_range (-3) 3; pure min_int; pure max_int ])
+      (oneofl [ ""; "a"; "b;c"; "S1;x" ])
+      (oneofl [ 0.0; -0.0; 1.5; -2.25; 1e300 ]))
+
+let gen_diff_key = QCheck2.Gen.(oneof [ int_range (-12) 12; pure min_int ])
+
+let gen_diff_case =
+  QCheck2.Gen.(
+    pair
+      (list_size (int_range 0 30) (pair gen_diff_key gen_diff_row))
+      (list_size (int_range 0 12)
+         (oneof
+            [ map2 (fun k row -> Put (k, row)) gen_diff_key gen_diff_row;
+              map (fun k -> Del k) gen_diff_key;
+              map2 (fun k row -> Set (k, row)) gen_diff_key gen_diff_row ])))
+
+let prop_diff_replays =
+  QCheck2.Test.make ~name:"apply_diff (diff ~old r) old == r, all backends"
+    ~count:200 gen_diff_case (fun (rows, ops) ->
+      List.for_all
+        (fun backend ->
+          let old = diff_rel backend rows in
+          let r = List.fold_left apply_op old ops in
+          replays ~old r && Relation.diff ~old old = [])
+        backends)
+
+let test_diff_cases () =
+  let rows = List.init 10 (fun k -> (k - 3, (k, Printf.sprintf "s%d" k, 0.5))) in
+  List.iter
+    (fun backend ->
+      let name = Relation.backend_name backend in
+      let base = diff_rel backend rows in
+      let check ?(old = base) what r expected =
+        let d = Relation.diff ~old r in
+        Alcotest.(check (list string)) (name ^ " " ^ what ^ " changes") expected
+          (List.map
+             (fun (k, change) ->
+               Value.to_string k ^ if Option.is_some change then "+" else "-")
+             d);
+        Alcotest.(check bool) (name ^ " " ^ what ^ " replays") true (replays ~old r)
+      in
+      let old = base in
+      check "identical" old [];
+      check "identical rebuild" (diff_rel backend rows) [];
+      check "delete-all" (Relation.create ~backend diff_schema)
+        (List.map (fun (k, _) -> string_of_int k ^ "-") rows);
+      check "re-insert"
+        (apply_op (apply_op old (Del 2)) (Put (2, (-7, "new", -2.25))))
+        [ "2+" ];
+      check "non-key update" (apply_op old (Set (4, (7, "changed", 0.5)))) [ "4+" ];
+      check "edge values"
+        (List.fold_left apply_op old
+           [ Put (-1, (min_int, "", -0.0)); Put (40, (-1, "", 1e300));
+             Set (0, (max_int, "", 0.0)) ])
+        [ "-1+"; "0+"; "40+" ];
+      let zero = apply_op old (Set (1, (4, "s4", 0.0))) in
+      check ~old:zero "negative zero"
+        (apply_op zero (Set (1, (4, "s4", -0.0))))
+        [ "1+" ])
+    backends
+
 (* -- bulk loading ------------------------------------------------------------ *)
 
 (* The specification [Relation.of_tuples] must meet: a sequential insert
@@ -457,6 +578,43 @@ let test_database_load_and_find () =
   | Ok None -> ()
   | _ -> Alcotest.fail "phantom tuple in S"
 
+(* The one-pass slot walk agrees with the per-name definition, in slot
+   order, and refuses versions with different relation sets. *)
+let test_database_changed_slots () =
+  let db0 =
+    Database.create
+      (two_schemas
+      @ [ Schema.make ~name:"T" ~cols:[ ("key", Schema.CInt); ("val", Schema.CStr) ] ])
+  in
+  let ok = function Ok (db, _) -> db | Error e -> Alcotest.fail e in
+  let db1 = ok (Database.insert db0 ~rel:"T" (tup 1 "a")) in
+  let db2 = ok (Database.insert db1 ~rel:"R" (tup 2 "b")) in
+  let changed old db =
+    List.map (fun (i, name, _, _) -> (i, name)) (Database.changed_slots ~old db)
+  in
+  let by_name old db =
+    List.filter_map
+      (fun (i, name) ->
+        if Database.shares_relation ~old db name then None else Some (i, name))
+      (List.mapi (fun i n -> (i, n)) (Database.names db))
+  in
+  List.iter
+    (fun (old, db) ->
+      Alcotest.(check (list (pair int string))) "matches shares_relation"
+        (by_name old db) (changed old db))
+    [ (db0, db0); (db0, db1); (db1, db2); (db0, db2) ];
+  Alcotest.(check (list (pair int string))) "slot order" [ (0, "R"); (2, "T") ]
+    (changed db0 db2);
+  (match Database.changed_slots ~old:db0 db2 with
+  | [ (_, _, old_r, new_r); _ ] ->
+      Alcotest.(check bool) "old relation" true
+        (Some old_r = Database.relation db0 "R"
+        && Some new_r = Database.relation db2 "R")
+  | _ -> Alcotest.fail "two changed slots expected");
+  Alcotest.check_raises "different relation sets"
+    (Invalid_argument "Database.changed_slots: relation sets differ") (fun () ->
+      ignore (Database.changed_slots ~old:db0 (Database.create two_schemas)))
+
 let () =
   Alcotest.run "relational"
     [
@@ -497,5 +655,11 @@ let () =
             test_database_versioning;
           Alcotest.test_case "errors" `Quick test_database_errors;
           Alcotest.test_case "load and find" `Quick test_database_load_and_find;
+          Alcotest.test_case "changed_slots" `Quick test_database_changed_slots;
+        ] );
+      ( "diff",
+        [
+          Alcotest.test_case "cases all backends" `Quick test_diff_cases;
+          QCheck_alcotest.to_alcotest prop_diff_replays;
         ] );
     ]

@@ -167,6 +167,73 @@ let test_fs_cold_recovery () =
             (if checkpoint_every = 0 then r.Wal.base = 0 else r.Wal.base > 0)))
     [ 0; 64 ]
 
+(* A segment written by the format-1 codec, whose delta frames carried
+   whole relation bodies: a checkpoint of R = {(1, "a")}, then version 1
+   adding (2, "b") and version 2 deleting key 1, byte for byte as that
+   writer laid them out. *)
+let format1_segment =
+  "+\000\000\000\001C\134A\166\2340;FDBSNAP11;1;1;R2;3;keyi3;valsL1;2;I1;S1;a\026\000\000\000\001D\147\t,\2361;1;0;2;2;I1;S1;a2;I2;S1;b\017\000\000\000\001D\216\129\176k2;1;0;1;2;I2;S1;b"
+
+(* Offsets of the frames of [format1_segment], each checked to be
+   checksum-valid under its own version byte: a genuine old log, not
+   damage. *)
+let format1_frames =
+  let le32 pos = Int32.to_int (String.get_int32_le format1_segment pos) in
+  let rec go pos acc =
+    if pos >= String.length format1_segment then List.rev acc
+    else
+      let len = le32 pos in
+      Alcotest.(check int) "format 1 version byte" 1
+        (Char.code format1_segment.[pos + 4]);
+      Alcotest.(check int32) "format 1 crc"
+        (String.get_int32_le format1_segment (pos + 6))
+        (Wire.crc32c
+           (String.sub format1_segment (pos + 4) 2
+           ^ String.sub format1_segment (pos + 10) len));
+      go (pos + 10 + len) (pos :: acc)
+  in
+  fun () -> go 0 []
+
+let test_old_format_rejected () =
+  Alcotest.(check int) "three frames" 3 (List.length (format1_frames ()));
+  let mem = Wal.Mem.create () in
+  Wal.Mem.set mem (Wal.segment_name 0) format1_segment;
+  match Wal.recover (Wal.Mem.store mem) with
+  | exception Wire.Corrupt _ -> ()
+  | r ->
+      Alcotest.failf "a format-1 log recovered versions %d..%d" r.Wal.base
+        r.Wal.upto
+
+(* Format-1 delta frames behind a current checkpoint are a stop, never
+   replayed as key-level changes. *)
+let test_old_format_tail_stops () =
+  let deltas_at = List.nth (format1_frames ()) 1 in
+  let db0 =
+    let schema =
+      Schema.make ~name:"R" ~cols:[ ("key", Schema.CInt); ("val", Schema.CStr) ]
+    in
+    match
+      Database.load (Database.create [ schema ]) ~rel:"R"
+        [ Tuple.make [ Value.Int 1; Value.Str "a" ] ]
+    with
+    | Ok db -> db
+    | Error e -> Alcotest.fail e
+  in
+  let mem = Wal.Mem.create () in
+  let store = Wal.Mem.store mem in
+  ignore (Wal.create ~store db0);
+  store.Wal.Store.append (Wal.segment_name 0)
+    (String.sub format1_segment deltas_at
+       (String.length format1_segment - deltas_at));
+  let r = Wal.recover store in
+  Alcotest.(check int) "nothing replayed" 0 r.Wal.upto;
+  Alcotest.(check bool) "checkpoint state" true
+    (Oracle.db_equal db0 (History.latest r.Wal.rhistory));
+  match r.Wal.stop with
+  | Wal.Stopped { reason; _ } ->
+      Alcotest.(check string) "reason" "unknown format version 1" reason
+  | Wal.Clean -> Alcotest.fail "format-1 frames read as a clean end"
+
 (* -- checkpoint compaction -------------------------------------------------- *)
 
 (* Recovery from checkpoint + suffix equals recovery from the full log on
@@ -533,6 +600,10 @@ let () =
           Alcotest.test_case "argument validation" `Quick test_create_validates;
           Alcotest.test_case "fs store cold recovery" `Quick
             test_fs_cold_recovery;
+          Alcotest.test_case "format-1 log rejected" `Quick
+            test_old_format_rejected;
+          Alcotest.test_case "format-1 tail stops replay" `Quick
+            test_old_format_tail_stops;
         ] );
       ( "compaction",
         [

@@ -9,6 +9,9 @@ open Fdb_relational
 module Wire = Fdb_wire.Wire
 module History = Fdb_txn.History
 module Oracle = Fdb_check.Oracle
+module Gen = Fdb_check.Gen
+module Merge = Fdb_merge.Merge
+module Txn = Fdb_txn.Txn
 
 let q = Fdb_query.Parser.parse_exn
 
@@ -49,6 +52,48 @@ let test_crc32c_sensitivity () =
   Alcotest.(check bool) "one bit apart" false
     (Int32.equal a (Wire.crc32c "hello worle"));
   Alcotest.(check bool) "prefix" false (Int32.equal a (Wire.crc32c "hello worl"))
+
+(* The table-driven CRC folds eight bytes a step; a bit-at-a-time
+   reference must agree at every length and alignment of the tail. *)
+let bitwise_crc32c s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then (!c lsr 1) lxor 0x82F63B78 else !c lsr 1
+      done)
+    s;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let prop_crc32c_bitwise =
+  QCheck2.Test.make ~name:"crc32c matches a bitwise reference" ~count:300
+    QCheck2.Gen.(string_size (int_range 0 70))
+    (fun s -> Int32.equal (Wire.crc32c s) (bitwise_crc32c s))
+
+(* -- varints ----------------------------------------------------------------- *)
+
+let test_int_roundtrip () =
+  List.iter
+    (fun n ->
+      let b = Buffer.create 8 in
+      Wire.write_int b n;
+      let s = Buffer.contents b in
+      Alcotest.(check string) (Printf.sprintf "bytes of %d" n) (string_of_int n ^ ";") s;
+      Alcotest.(check (pair int int)) (Printf.sprintf "read %d" n)
+        (n, String.length s) (Wire.read_int s ~pos:0))
+    [ 0; -1; 1; 9; 10; -10; 99; 100; 123456789; max_int; min_int;
+      max_int - 1; min_int + 1 ]
+
+(* The checkpoint bytes depend on it: write_int writes exactly
+   string_of_int's digits, for every int. *)
+let prop_int_digits =
+  QCheck2.Test.make ~name:"write_int writes string_of_int's digits" ~count:500
+    QCheck2.Gen.(oneof [ int; int_range (-1000) 1000; oneofl [ min_int; max_int ] ])
+    (fun n ->
+      let b = Buffer.create 8 in
+      Wire.write_int b n;
+      Buffer.contents b = string_of_int n ^ ";")
 
 (* -- frames ----------------------------------------------------------------- *)
 
@@ -116,6 +161,20 @@ let test_frame_bitflips_torn () =
       Bytes.set b i orig
     done
   done
+
+(* A frame of the previous format (version byte 1), checksum-valid under
+   its own header, reads as Torn: old records are refused, never decoded
+   as this format's key-level deltas. *)
+let test_frame_format1_torn () =
+  let payload = "1;1;0;2;2;I1;S1;a2;I2;S1;b" in
+  let b = Bytes.of_string (Wire.frame ~kind:Wire.Delta payload) in
+  Bytes.set b 4 '\001';
+  Bytes.set_int32_le b 6 (Wire.crc32c ("\001D" ^ payload));
+  match Wire.read_frame (Bytes.to_string b) ~pos:0 with
+  | Wire.Torn { offset; reason } ->
+      Alcotest.(check int) "offset at version byte" 4 offset;
+      Alcotest.(check string) "reason" "unknown format version 1" reason
+  | Wire.Frame _ | Wire.End_of_input -> Alcotest.fail "format-1 frame accepted"
 
 (* -- chunked column payloads ------------------------------------------------ *)
 
@@ -253,6 +312,71 @@ let test_archive_sub_consumes_exactly () =
   Alcotest.(check int) "next" (String.length payload) next;
   check_history_equal history h
 
+(* Replica snapshots ship [encode_archive]'s bytes, so they must not drift:
+   fixed histories (two generated scenarios and one of edge values over
+   avl and column relations) hash to pinned digests. *)
+let seeded_history ~seed =
+  let sc = Gen.generate { Gen.default_spec with seed; queries_per_client = 24 } in
+  List.fold_left
+    (fun h (m : _ Merge.tagged) ->
+      let db = History.latest h in
+      let (_, db') = Txn.translate m.Merge.item db in
+      if db' == db then h else History.append h db')
+    (History.create (Gen.initial_db sc))
+    (Merge.merge (Merge.Seeded seed) sc.Gen.streams)
+
+let edge_history =
+  let cols =
+    [ ("key", Schema.CInt); ("flag", Schema.CBool); ("ratio", Schema.CReal);
+      ("label", Schema.CStr) ]
+  in
+  let w = Schema.make ~name:"W" ~cols and x = Schema.make ~name:"X" ~cols in
+  let tup k label =
+    Tuple.make
+      [ Value.Int k; Value.Bool (k mod 2 = 0); Value.Real (float_of_int k /. 3.0);
+        Value.Str label ]
+  in
+  let keys = [ min_int; -42; -1; 0; 1; 7; max_int ] in
+  let rel backend schema =
+    match
+      Relation.of_tuples ~backend schema
+        (List.map (fun k -> tup k (string_of_int k)) keys)
+    with
+    | Ok r -> r
+    | Error e -> failwith e
+  in
+  let ok = function Ok (db, _) -> db | Error e -> failwith e in
+  let v0 =
+    Database.replace
+      (Database.replace (Database.create [ w; x ]) "W" (rel Relation.Avl_backend w))
+      "X"
+      (rel (Relation.Column_backend 3) x)
+  in
+  let v1 = ok (Database.insert v0 ~rel:"W" (tup 99 "")) in
+  let v2 = ok (Database.delete v1 ~rel:"X" ~key:(Value.Int min_int)) in
+  let v3 =
+    ok
+      (Database.insert
+         (ok (Database.delete v2 ~rel:"W" ~key:(Value.Int (-1))))
+         ~rel:"W" (tup (-1) ""))
+  in
+  History.of_versions [ v3; v2; v1; v0 ]
+
+let test_archive_bytes_pinned () =
+  List.iter
+    (fun (name, h, changed, full) ->
+      let digest s = Digest.to_hex (Digest.string s) in
+      Alcotest.(check string) (name ^ " changed-only") changed
+        (digest (Wire.encode_archive h));
+      Alcotest.(check string) (name ^ " full") full
+        (digest (Wire.encode_archive ~changed_only:false h)))
+    [ ( "seed 11", seeded_history ~seed:11, "7d45b1db35971b3ea1ca0949a53b38b0",
+        "c0a99314cfaf5bed1a11fbc30ee7a43c" );
+      ( "seed 12", seeded_history ~seed:12, "f7f86c51b34aefd11fd1b0e90433f5f2",
+        "06c1a5374d6268fb975d2a83d8aa179e" );
+      ( "edge values", edge_history, "fa71d2a38645760cc6e475414c7e3601",
+        "f06c133885b9d4530745c60c085cc689" ) ]
+
 let test_archive_garbage_raises () =
   List.iter
     (fun src ->
@@ -295,6 +419,88 @@ let test_version_delta_trailing_raises () =
         offset
   | _ -> Alcotest.fail "trailing byte accepted"
 
+(* A delta is sized by the change, not by the relation: one-tuple writes
+   into a 256-relation, 1000-tuple-per-relation btree-8 database each
+   encode under 1 KB, and replay onto the previous version. *)
+let test_version_delta_size () =
+  let schemas =
+    List.init 256 (fun i ->
+        Schema.make ~name:(Printf.sprintf "R%d" i)
+          ~cols:[ ("key", Schema.CInt); ("val", Schema.CStr) ])
+  in
+  let tup k s = Tuple.make [ Value.Int k; Value.Str s ] in
+  let db =
+    match
+      Database.of_tuples ~backend:(Relation.Btree_backend 8) schemas
+        (List.map
+           (fun s ->
+             (Schema.name s, List.init 1000 (fun k -> tup k (Printf.sprintf "t%d" k))))
+           schemas)
+    with
+    | Ok db -> db
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun query ->
+      let (_, next) = Txn.translate (q query) db in
+      let payload = Wire.encode_version ~prev:db next in
+      Alcotest.(check bool)
+        (Printf.sprintf "%S: %d bytes < 1 KB" query (String.length payload))
+        true
+        (String.length payload < 1024);
+      Alcotest.(check bool) (query ^ " replays") true
+        (Oracle.db_equal next (Wire.decode_version ~prev:db payload)))
+    [ "update R128 set val = \"u\" where key = 500";
+      "insert (5000, \"new\") into R7";
+      "delete 999 from R255" ]
+
+(* The record lists per-slot key changes, readable without the base. *)
+let test_version_delta_key_changes () =
+  let prev = History.version history 0 in
+  let two = History.version history 2 in
+  Alcotest.(check (list (pair int int))) "insert then delete in R" [ (0, 2) ]
+    (Wire.delta_key_changes (Wire.encode_version ~prev two) ~pos:0);
+  Alcotest.(check (list (pair int int))) "nothing changed" []
+    (Wire.delta_key_changes (Wire.encode_version ~prev prev) ~pos:0);
+  Alcotest.(check string) "empty record" "0;" (Wire.encode_version ~prev prev)
+
+(* A rewrite to -0.0 is a change: replay must not keep 0.0. *)
+let test_version_delta_negative_zero () =
+  let schema =
+    Schema.make ~name:"F" ~cols:[ ("key", Schema.CInt); ("x", Schema.CReal) ]
+  in
+  let tup x = Tuple.make [ Value.Int 1; Value.Real x ] in
+  let ok = function Ok (db, _) -> db | Error e -> Alcotest.fail e in
+  let prev = ok (Database.insert (Database.create [ schema ]) ~rel:"F" (tup 0.0)) in
+  let next =
+    ok
+      (Database.insert
+         (ok (Database.delete prev ~rel:"F" ~key:(Value.Int 1)))
+         ~rel:"F" (tup (-0.0)))
+  in
+  let decoded = Wire.decode_version ~prev (Wire.encode_version ~prev next) in
+  match Database.find decoded ~rel:"F" ~key:(Value.Int 1) with
+  | Ok (Some t) -> (
+      match Tuple.get t 1 with
+      | Value.Real x ->
+          Alcotest.(check bool) "sign bit kept" true (Float.sign_bit x)
+      | _ -> Alcotest.fail "not a real")
+  | _ -> Alcotest.fail "tuple lost"
+
+(* Structural damage inside a delta raises [Corrupt], never a wrong
+   version or a stray exception. *)
+let test_version_delta_garbage_raises () =
+  let prev = History.version history 0 in
+  List.iter
+    (fun src ->
+      match Wire.decode_version ~prev src with
+      | exception Wire.Corrupt { offset; _ } ->
+          Alcotest.(check bool) (src ^ ": offset in bounds") true
+            (offset >= 0 && offset <= String.length src)
+      | _ -> Alcotest.fail (src ^ ": decoded"))
+    [ ""; "1;"; "1;0;"; "1;0;1;"; "1;0;1;X"; "1;9;0;"; "-1;"; "1;0;-1;";
+      "1;0;1;P0;"; "1;0;1;P1;S1;a"; "1;0;1;DI"; "3;0;0;0;0;0;0;" ]
+
 let () =
   Alcotest.run "wire"
     [
@@ -302,6 +508,12 @@ let () =
         [
           Alcotest.test_case "check value" `Quick test_crc32c_check_value;
           Alcotest.test_case "sensitivity" `Quick test_crc32c_sensitivity;
+          QCheck_alcotest.to_alcotest prop_crc32c_bitwise;
+        ] );
+      ( "varint",
+        [
+          Alcotest.test_case "edge ints roundtrip" `Quick test_int_roundtrip;
+          QCheck_alcotest.to_alcotest prop_int_digits;
         ] );
       ( "frames",
         [
@@ -309,6 +521,7 @@ let () =
           Alcotest.test_case "stream" `Quick test_frame_stream;
           Alcotest.test_case "prefixes torn" `Quick test_frame_prefixes_torn;
           Alcotest.test_case "bitflips torn" `Quick test_frame_bitflips_torn;
+          Alcotest.test_case "format-1 frame torn" `Quick test_frame_format1_torn;
         ] );
       ( "archive",
         [
@@ -320,6 +533,7 @@ let () =
           Alcotest.test_case "sub consumes exactly" `Quick
             test_archive_sub_consumes_exactly;
           Alcotest.test_case "garbage raises" `Quick test_archive_garbage_raises;
+          Alcotest.test_case "bytes pinned" `Quick test_archive_bytes_pinned;
         ] );
       ( "chunked",
         [
@@ -336,5 +550,13 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_version_delta_roundtrip;
           Alcotest.test_case "trailing raises" `Quick
             test_version_delta_trailing_raises;
+          Alcotest.test_case "one-tuple write under 1 KB" `Quick
+            test_version_delta_size;
+          Alcotest.test_case "key changes per slot" `Quick
+            test_version_delta_key_changes;
+          Alcotest.test_case "negative zero kept" `Quick
+            test_version_delta_negative_zero;
+          Alcotest.test_case "garbage raises" `Quick
+            test_version_delta_garbage_raises;
         ] );
     ]
