@@ -96,14 +96,18 @@ let initial_state semantics spec =
     spec.schemas
 
 (* The durable image of [initial_state Ordered_unique], bulk-built per
-   relation: [Relation.of_tuples] keeps the first tuple per duplicate key, so
-   a WAL genesis checkpoint written from this database matches what every
-   ordered-unique executor starts from.  run_parallel, run_repair and
-   run_sharded build it on every call, once per batch when a caller
-   microbatches, so it must cost O(n log n), not a quadratic list-insert
-   fold. *)
+   relation on btree-8: [Relation.of_tuples] keeps the first tuple per
+   duplicate key, so a WAL genesis checkpoint written from this database
+   matches what every ordered-unique executor starts from.  run_parallel,
+   run_repair and run_sharded build it on every call, once per batch when a
+   caller microbatches, and the next batch's tuples are the previous batch's
+   ascending contents, so the build is O(n): no re-sort, pages packed
+   bottom-up.  The executors then scan pages, not list cells. *)
 let initial_database spec =
-  match Database.of_tuples spec.schemas spec.initial with
+  match
+    Database.of_tuples ~backend:(Relation.Btree_backend 8) spec.schemas
+      spec.initial
+  with
   | Ok db -> db
   | Error e -> invalid_arg ("Pipeline.initial_database: " ^ e)
 

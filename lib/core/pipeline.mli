@@ -58,11 +58,12 @@ val db_spec_of_workload : Fdb_workload.Workload.t -> db_spec
 
 val initial_database : db_spec -> Database.t
 (** The durable image of the initial state: relations as keyed sets on the
-    default list backend, the first tuple kept per duplicate key — exactly
-    the state every ordered-unique executor starts from, and value-equal to
-    a {!Database.load} fold, but built by {!Relation.of_tuples} in
-    O(n log n) per relation ({!run_parallel}, {!run_repair} and
-    {!run_sharded} build it on every call).  Pass this to
+    btree-8 backend, the first tuple kept per duplicate key — exactly the
+    state every ordered-unique executor starts from, and value-equal to a
+    {!Database.load} fold, but built by {!Relation.of_tuples} per relation:
+    O(n log n), and O(n) when each relation's tuples are already ascending
+    by key, as the [*_final_db] of a previous run is ({!run_parallel},
+    {!run_repair} and {!run_sharded} build it on every call).  Pass this to
     {!Fdb_wal.Wal.create} to open a durability sink ([?wal] below) whose
     genesis checkpoint matches the run.
     @raise Invalid_argument when the spec's initial tuples do not match

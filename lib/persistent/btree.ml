@@ -420,6 +420,48 @@ module Make (Elt : Ordered.S) = struct
   let of_list ?branching xs =
     List.fold_left (fun t x -> insert x t) (create ?branching ()) xs
 
+  (* Bottom-up bulk load of minimal height.  A subtree of height h holds at
+     most [cap] = b^h - 1 elements.  Each directory page takes the fewest
+     children that can hold its elements and splits them evenly, one
+     separator between neighbours.  Minimal height gives the root at least
+     two children.  An even split over the fewest children leaves each
+     child of height h at least half full, (b^h - 1) / 2 elements, so it in
+     turn takes at least ceil (b / 2) = min_keys + 1 children: every
+     non-root page keeps min_keys..max_keys keys. *)
+  let of_sorted ?branching xs =
+    let t = create ?branching () in
+    let a = Array.of_list xs in
+    let n = Array.length a in
+    for i = 1 to n - 1 do
+      if Elt.compare a.(i - 1) a.(i) >= 0 then
+        invalid_arg "Btree.of_sorted: input not strictly ascending"
+    done;
+    let b = t.branching in
+    let rec build lo count cap =
+      if cap < b then Leaf (Array.sub a lo count)
+      else
+        let slot = (cap + 1) / b in
+        let c = (count + slot) / slot in
+        let base = (count - c + 1) / c and extra = (count - c + 1) mod c in
+        let keys = Array.make (c - 1) a.(lo) in
+        let children = Array.make c (Leaf [||]) in
+        let pos = ref lo in
+        for i = 0 to c - 1 do
+          let size = if i < extra then base + 1 else base in
+          children.(i) <- build !pos size (slot - 1);
+          pos := !pos + size;
+          if i < c - 1 then begin
+            keys.(i) <- a.(!pos);
+            incr pos
+          end
+        done;
+        Dir (children, keys)
+    in
+    let rec root_cap cap =
+      if cap >= n then cap else root_cap ((b * cap) + b - 1)
+    in
+    { t with root = build 0 n (root_cap (b - 1)) }
+
   let shared_pages ~old t =
     let module H = Hashtbl.Make (struct
       type t = node

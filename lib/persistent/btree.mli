@@ -17,6 +17,17 @@ module Make (Elt : Ordered.S) : sig
   val branching : t -> int
 
   val of_list : ?branching:int -> Elt.t list -> t
+  (** A fold of {!insert}: the page shapes of a tree grown one element at a
+      time. *)
+
+  val of_sorted : ?branching:int -> Elt.t list -> t
+  (** Bottom-up bulk load from a strictly ascending list, O(n): the tree of
+      minimal height whose pages split the elements evenly, as full as the
+      occupancy bounds allow, so every non-root page holds between
+      [(branching - 1) / 2] and [branching - 1] keys.  Full pages split on
+      their first insert, so a tree built here rebuilds more pages per early
+      insert than one from {!of_list}.
+      @raise Invalid_argument if the input is not strictly ascending. *)
 
   val to_list : t -> Elt.t list
 

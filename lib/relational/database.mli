@@ -42,8 +42,8 @@ val of_tuples :
 (** [of_tuples schemas initial] is one relation per schema, each
     bulk-built by {!Relation.of_tuples} from its [initial] tuples (empty
     when absent): value-equal to a {!load} fold but O(n log n) per
-    relation on the list and column backends.  Names in [initial] with no
-    schema are ignored.  [Error] carries the first schema mismatch.
+    relation on the list, B-tree and column backends.  Names in [initial]
+    with no schema are ignored.  [Error] carries the first schema mismatch.
     @raise Invalid_argument on duplicate relation names. *)
 
 val shares_relation : old:t -> t -> string -> bool

@@ -212,9 +212,10 @@ let update ?meter ?lo ?hi r rewrite =
 
 let of_tuples ?(backend = List_backend) schema tuples =
   (* Bulk paths validate in input order (the insert fold's first error),
-     then sort and keep the first tuple per key, O(n log n): inserts would
-     copy a list prefix or a column chunk per tuple.  Trees keep their
-     O(n log n) insert fold, whose shapes [shared_units] measures. *)
+     then sort and keep the first tuple per key, O(n log n), or O(n) on
+     input already ascending by key: inserts would copy a list prefix or a
+     column chunk per tuple, and B-tree pages build bottom-up.  AVL and 2-3
+     trees keep their O(n log n) insert fold. *)
   let bulk build =
     match List.find_opt (fun tup -> not (Schema.matches schema tup)) tuples with
     | Some tup -> Error (schema_error schema tup)
@@ -223,8 +224,11 @@ let of_tuples ?(backend = List_backend) schema tuples =
   match backend with
   | List_backend ->
       bulk (fun () -> L (PL.of_sorted (Tuple.sort_keep_first tuples)))
+  | Btree_backend b ->
+      bulk (fun () ->
+          B (BT.of_sorted ~branching:b (Tuple.sort_keep_first tuples)))
   | Column_backend chunk -> bulk (fun () -> C (CO.of_list ~chunk tuples))
-  | Avl_backend | Two3_backend | Btree_backend _ ->
+  | Avl_backend | Two3_backend ->
       let rec go r = function
         | [] -> Ok r
         | tup :: rest -> (

@@ -87,9 +87,12 @@ val update :
 val of_tuples : ?backend:backend -> Schema.t -> Tuple.t list -> (t, string) result
 (** Bulk load, value-equal to folding {!insert} over the tuples from
     {!create}: [Error] names the first schema mismatch in input order, and a
-    duplicate key keeps its first occurrence.  The list and column backends
-    validate, stable-sort by key and build in one pass, O(n log n); the tree
-    backends keep the insert fold, also O(n log n). *)
+    duplicate key keeps its first occurrence.  The list, B-tree and column
+    backends validate, stable-sort by key and build in one pass, O(n log n);
+    list and B-tree loads cost O(n) on input already strictly ascending by
+    key ({!Tuple.sort_keep_first}).  B-tree pages are built bottom-up, so
+    their shapes differ from an insert fold's.  The AVL and 2-3 backends keep
+    the insert fold, also O(n log n). *)
 
 val shared_units : old:t -> t -> int * int
 (** [(shared, total)] physical sharing (cells, nodes, pages or chunks, per

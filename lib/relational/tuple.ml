@@ -33,11 +33,19 @@ let equal a b = compare a b = 0
 
 let compare_key a b = Value.compare (key a) (key b)
 
+let rec strictly_ascending = function
+  | a :: (b :: _ as rest) -> compare_key a b < 0 && strictly_ascending rest
+  | _ -> true
+
 let sort_keep_first tuples =
-  let keep acc t =
-    match acc with prev :: _ when compare_key prev t = 0 -> acc | _ -> t :: acc
-  in
-  List.rev (List.fold_left keep [] (List.stable_sort compare_key tuples))
+  if strictly_ascending tuples then tuples
+  else
+    let keep acc t =
+      match acc with
+      | prev :: _ when compare_key prev t = 0 -> acc
+      | _ -> t :: acc
+    in
+    List.rev (List.fold_left keep [] (List.stable_sort compare_key tuples))
 
 let pp ppf t =
   Format.fprintf ppf "(%a)"

@@ -26,7 +26,10 @@ val compare_key : t -> t -> int
 val sort_keep_first : t list -> t list
 (** Stable sort by key keeping the first tuple of each key: the state a
     sequential insert fold leaves, which skips keys already present.
-    Strictly ascending in the key; O(n log n), tail-recursive. *)
+    Strictly ascending in the key; O(n log n), tail-recursive.  Input that
+    already is strictly ascending costs one O(n) pass and is returned
+    physically, as every batch hands the previous batch's ordered state
+    back in. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -19,12 +19,12 @@ module Model = struct
   let insert x m = if List.mem x m then m else List.sort compare (x :: m)
   let delete x m = (List.filter (fun y -> y <> x) m, List.mem x m)
 
-  let apply ops =
+  let apply ?(init = []) ops =
     List.fold_left
       (fun m op ->
         if op >= 0 then insert op m
         else fst (delete (-op) m))
-      [] ops
+      init ops
 end
 
 (* -- plist ---------------------------------------------------------------- *)
@@ -129,6 +129,69 @@ let prop_btree_model branching =
           ops
       in
       (IntBt.to_list t, IntBt.invariant t))
+
+(* A bulk-loaded tree must be an ordinary B-tree: the same operation
+   sequences as [prop_btree_model], started from [of_sorted] over the even
+   keys below 2n (so inserts and deletes both hit), stay model-equal and
+   within the occupancy bounds. *)
+let prop_btree_of_sorted branching =
+  QCheck2.Test.make
+    ~name:(Printf.sprintf "btree(b=%d) of_sorted + ops == model" branching)
+    ~count:60
+    ~print:QCheck2.Print.(pair int (list int))
+    QCheck2.Gen.(
+      let* n = oneof [ int_range 0 64; int_range 0 3000 ] in
+      let* ops =
+        list_size (int_range 0 120) (int_range (-((2 * n) + 9)) ((2 * n) + 9))
+      in
+      return (n, ops))
+    (fun (n, ops) ->
+      let init = List.init n (fun i -> 2 * i) in
+      let t0 = IntBt.of_sorted ~branching init in
+      let t =
+        List.fold_left
+          (fun t op ->
+            if op >= 0 then IntBt.insert op t
+            else fst (IntBt.delete (-op) t))
+          t0 ops
+      in
+      IntBt.invariant t0
+      && IntBt.to_list t0 = init
+      && IntBt.invariant t
+      && IntBt.to_list t = Model.apply ~init ops)
+
+let test_btree_of_sorted_sizes () =
+  (* Every size up to 600, and each capacity boundary b^h - 1 up to 5000
+     with its neighbours: occupancy bounds hold, contents round-trip and the
+     height is the smallest h with b^h - 1 >= n. *)
+  List.iter
+    (fun b ->
+      let rec boundaries p acc =
+        if p > 5000 then acc
+        else boundaries (p * b) ((p - 2) :: (p - 1) :: p :: acc)
+      in
+      List.iter
+        (fun n ->
+          let xs = List.init n Fun.id in
+          let t = IntBt.of_sorted ~branching:b xs in
+          let rec least h cap =
+            if cap >= n then h else least (h + 1) ((b * cap) + b - 1)
+          in
+          if
+            not
+              (IntBt.invariant t && IntBt.to_list t = xs
+              && IntBt.height t = least 1 (b - 1))
+          then
+            Alcotest.failf "of_sorted b=%d n=%d: invariant %b, height %d" b n
+              (IntBt.invariant t) (IntBt.height t))
+        (List.init 601 Fun.id @ boundaries (b * b) []))
+    [ 3; 4; 7; 8; 16 ];
+  List.iter
+    (fun xs ->
+      Alcotest.check_raises "not strictly ascending"
+        (Invalid_argument "Btree.of_sorted: input not strictly ascending")
+        (fun () -> ignore (IntBt.of_sorted xs)))
+    [ [ 2; 1 ]; [ 1; 1 ]; [ 1; 5; 3; 7 ] ]
 
 (* -- avl specifics --------------------------------------------------------- *)
 
@@ -420,7 +483,12 @@ let () =
           QCheck_alcotest.to_alcotest (prop_btree_model 3);
           QCheck_alcotest.to_alcotest (prop_btree_model 4);
           QCheck_alcotest.to_alcotest (prop_btree_model 7);
-        ] );
+          Alcotest.test_case "of_sorted sizes and boundaries" `Quick
+            test_btree_of_sorted_sizes;
+        ]
+        @ List.map
+            (fun b -> QCheck_alcotest.to_alcotest (prop_btree_of_sorted b))
+            [ 3; 4; 7; 8; 16 ] );
       ( "cross-structure",
         [
           QCheck_alcotest.to_alcotest prop_structures_agree;

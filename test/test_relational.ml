@@ -42,6 +42,26 @@ let test_tuple_basics () =
   Alcotest.(check int) "compare_key ignores payload" 0
     (Tuple.compare_key (tup 1 "a") (tup 1 "zzz"))
 
+let test_sort_keep_first () =
+  let ascending = [ tup 1 "a"; tup 2 "b"; tup 5 "c" ] in
+  Alcotest.(check bool) "ascending input returned physically" true
+    (Tuple.sort_keep_first ascending == ascending);
+  List.iter
+    (fun (name, input, expected) ->
+      Alcotest.(check (list tuple_t)) name expected
+        (Tuple.sort_keep_first input))
+    [
+      ( "duplicate keeps first",
+        [ tup 1 "a"; tup 2 "b"; tup 2 "x"; tup 3 "c" ],
+        [ tup 1 "a"; tup 2 "b"; tup 3 "c" ] );
+      ( "descending sorted",
+        [ tup 3 "c"; tup 2 "b"; tup 1 "a" ],
+        [ tup 1 "a"; tup 2 "b"; tup 3 "c" ] );
+      ( "late duplicate loses",
+        [ tup 2 "b"; tup 1 "a"; tup 2 "x" ],
+        [ tup 1 "a"; tup 2 "b" ] );
+    ]
+
 (* -- schema --------------------------------------------------------------- *)
 
 let test_schema () =
@@ -407,7 +427,8 @@ let prop_of_tuples_is_insert_fold =
       && same_load (Relation.of_tuples schema tuples) (insert_fold schema tuples))
 
 (* The durable image as it was built before bulk loading: a
-   [Database.load] fold per relation. *)
+   [Database.load] fold per relation, on the backend [initial_database]
+   builds on. *)
 let load_fold_database (spec : Fdb.Pipeline.db_spec) =
   List.fold_left
     (fun db s ->
@@ -417,7 +438,7 @@ let load_fold_database (spec : Fdb.Pipeline.db_spec) =
           match Database.load db ~rel:(Schema.name s) ts with
           | Ok db -> db
           | Error e -> invalid_arg ("Pipeline.initial_database: " ^ e)))
-    (Database.create spec.schemas)
+    (Database.create ~backend:(Relation.Btree_backend 8) spec.schemas)
     spec.schemas
 
 let schema_s =
@@ -463,7 +484,7 @@ let test_initial_database_scale () =
   match Database.relation db "R" with
   | None -> Alcotest.fail "relation R missing"
   | Some r ->
-      Alcotest.(check string) "list backend" "list"
+      Alcotest.(check string) "btree-8 backend" "btree-8"
         (Relation.backend_name (Relation.backend r));
       Alcotest.(check int) "one tuple per key" (n - (n / 10)) (Relation.size r);
       (* keep-first: key 1 arrives from i = 0 (k = 0 bumped) before i with k = 1 *)
@@ -619,7 +640,11 @@ let () =
   Alcotest.run "relational"
     [
       ("value", [ Alcotest.test_case "order/pp" `Quick test_value_order ]);
-      ("tuple", [ Alcotest.test_case "basics" `Quick test_tuple_basics ]);
+      ( "tuple",
+        [
+          Alcotest.test_case "basics" `Quick test_tuple_basics;
+          Alcotest.test_case "sort_keep_first" `Quick test_sort_keep_first;
+        ] );
       ("schema", [ Alcotest.test_case "basics" `Quick test_schema ]);
       ( "relation",
         [
