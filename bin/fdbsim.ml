@@ -27,6 +27,7 @@ module Topology = Fdb_net.Topology
 module Machine = Fdb_rediflow.Machine
 module Engine = Fdb_kernel.Engine
 module Schema = Fdb_relational.Schema
+module Database = Fdb_relational.Database
 module Gen = Fdb_check.Gen
 module Oracle = Fdb_check.Oracle
 module Sim = Fdb_check.Sim
@@ -846,7 +847,6 @@ let par_cmd =
     let semantics = Pipeline.Ordered_unique in
     Metrics.reset ();
     let divergences = ref 0 in
-    let tasks = ref 0 and steals = ref 0 and ndomains = ref 0 in
     let compare_streams ~seed ~what expected actual =
       if
         not
@@ -859,7 +859,8 @@ let par_cmd =
         Format.printf "seed %d: parallel executor diverges from %s@." seed what
       end
     in
-    Fdb_par.Pool.with_pool ?domains (fun pool ->
+    let (stats : Fdb_par.Pool.stats) =
+      Fdb_par.Pool.with_pool ?domains (fun pool ->
         Seq.iter
           (fun (s, sc) ->
             let spec =
@@ -871,16 +872,20 @@ let par_cmd =
                 (Merge.merge (Merge.Seeded ((7 * s) + 1)) sc.Gen.streams)
             in
             let ideal = Pipeline.run ~semantics spec tagged in
-            let par = Pipeline.run_parallel ~pool spec tagged in
-            tasks := par.Pipeline.par_tasks;
-            steals := par.Pipeline.par_steals;
-            ndomains := par.Pipeline.par_domains;
+            let db0 = Pipeline.initial_database spec in
+            let execute index =
+              Pipeline.execute (Parallel { pool; index }) db0 tagged
+            in
+            let par = execute None in
+            let par_responses = Pipeline.pipeline_responses par in
             compare_streams ~seed:s ~what:"deterministic engine (ideal)"
-              ideal.Pipeline.responses par.Pipeline.par_responses;
+              ideal.Pipeline.responses par_responses;
             compare_streams ~seed:s ~what:"sequential reference"
               (Pipeline.reference ~semantics spec tagged)
-              par.Pipeline.par_responses;
-            if not (ideal.Pipeline.final_db = par.Pipeline.par_final_db)
+              par_responses;
+            if
+              not
+                (ideal.Pipeline.final_db = Database.contents par.Pipeline.final)
             then begin
               incr divergences;
               Format.printf "seed %d: final database diverges@." s
@@ -893,7 +898,7 @@ let par_cmd =
                     spec tagged
                 in
                 compare_streams ~seed:s ~what:"simulated machine"
-                  machine.Pipeline.responses par.Pipeline.par_responses)
+                  machine.Pipeline.responses par_responses)
               topo;
             (* Indexed legs: the same merged stream with the default catalog
                maintained inline on the dispatch thread — once on the pool,
@@ -906,11 +911,9 @@ let par_cmd =
                 let session =
                   Ix.Session.create_exn
                     (Ix.Catalog.default_for sc.Gen.schemas)
-                    (Pipeline.initial_database spec)
+                    db0
                 in
-                let run () =
-                  Pipeline.run_parallel ~pool ~index:session spec tagged
-                in
+                let run () = execute (Some session) in
                 let (ipar, events) =
                   if traced then Fdb_obs.Trace.record run else (run (), [])
                 in
@@ -919,13 +922,10 @@ let par_cmd =
                     (if traced then "sequential reference (indexed, traced)"
                      else "sequential reference (indexed)")
                   (Pipeline.reference ~semantics spec tagged)
-                  ipar.Pipeline.par_responses;
+                  (Pipeline.pipeline_responses ipar);
                 (match
-                   Ix.Store.coherent
-                     (Ix.Session.store session)
-                     (Pipeline.initial_database
-                        { spec with
-                          Pipeline.initial = ipar.Pipeline.par_final_db })
+                   Ix.Store.coherent (Ix.Session.store session)
+                     ipar.Pipeline.final
                  with
                 | Ok () -> ()
                 | Error e ->
@@ -938,7 +938,9 @@ let par_cmd =
                       v)
                   (Trace_oracle.check events))
               [ false; true ])
-          (seeds spec ~sweep));
+          (seeds spec ~sweep);
+        Fdb_par.Pool.stats pool)
+    in
     if !divergences = 0 then begin
       Format.printf
         "par: %d seeds, every response stream identical across executors; \
@@ -946,7 +948,9 @@ let par_cmd =
         sweep;
       Format.printf
         "pool: %d domains, %d tasks executed cumulatively, %d stolen@."
-        !ndomains !tasks !steals;
+        stats.domains
+        (Array.fold_left ( + ) 0 stats.executed)
+        stats.steals;
       print_metrics ()
     end
     else begin
@@ -1410,17 +1414,23 @@ let traffic_cmd =
     let reference =
       print (Traffic.drive ~backend:(Relation.Btree_backend 8) plan)
     in
-    let digests =
-      List.map
-        (fun (mode, backend) -> print (Traffic.drive ~mode ~backend plan))
-        [
-          (Traffic.Sequential, Relation.Column_backend 256);
-          (Traffic.Parallel { domains = None }, Relation.Btree_backend 8);
-          (Traffic.Repair { batch = 32 }, Relation.Btree_backend 8);
-          (Traffic.Sharded { shards = 4 }, Relation.Btree_backend 8);
-        ]
+    let column =
+      print (Traffic.drive ~backend:(Relation.Column_backend 256) plan)
     in
-    if List.for_all (String.equal reference) digests then
+    let batched =
+      Fdb_par.Pool.with_pool (fun pool ->
+          List.map
+            (fun executor ->
+              print
+                (Traffic.drive ~mode:(Batched executor)
+                   ~backend:(Relation.Btree_backend 8) plan))
+            [
+              Pipeline.Parallel { pool; index = None };
+              Repair { pool; batch = 32; index = None };
+              Sharded { shards = 4 };
+            ])
+    in
+    if List.for_all (String.equal reference) (column :: batched) then
       Format.printf "final states agree across modes and backends@."
     else begin
       Format.printf "FAIL: final states diverge@.";

@@ -98,11 +98,8 @@ let initial_state semantics spec =
 (* The durable image of [initial_state Ordered_unique], bulk-built per
    relation on btree-8: [Relation.of_tuples] keeps the first tuple per
    duplicate key, so a WAL genesis checkpoint written from this database
-   matches what every ordered-unique executor starts from.  run_parallel,
-   run_repair and run_sharded build it on every call, once per batch when a
-   caller microbatches, and the next batch's tuples are the previous batch's
-   ascending contents, so the build is O(n): no re-sort, pages packed
-   bottom-up.  The executors then scan pages, not list cells. *)
+   matches what every ordered-unique executor starts from.  Ascending input
+   builds in O(n): no re-sort, pages packed bottom-up. *)
 let initial_database spec =
   match
     Database.of_tuples ~backend:(Relation.Btree_backend 8) spec.schemas
@@ -759,23 +756,128 @@ let check_serializable ?semantics ?mode spec tagged_queries =
   in
   compare_all 0 (lenient, sequential)
 
-(* -- the parallel executor ------------------------------------------------- *)
+(* -- the executors over Database.t ----------------------------------------- *)
 
 module Pool = Fdb_par.Pool
 module Txn = Fdb_txn.Txn
+module Exec = Fdb_repair.Exec
+module History = Fdb_txn.History
 
-type par_report = {
-  par_responses : (int * response) list;
-  par_final_db : (string * Tuple.t list) list;
-  par_tasks : int;  (* pool tasks executed, summed over worker domains *)
-  par_steals : int;
-  par_domains : int;
+type executor =
+  | Parallel of { pool : Pool.t; index : Ix.Session.t option }
+  | Repair of { pool : Pool.t; batch : int; index : Ix.Session.t option }
+  | Sharded of { shards : int }
+
+type outcome = {
+  responses : (int * Txn.response) list;
+  final : Database.t;
+  versions : int;
 }
 
-(* The executors built on [Txn] answer in its response type, which is shaped
-   slightly differently (option/bool where the pipeline uses list/int).
-   Error strings are identical by construction: Txn and the pipeline share
-   Pred and format unknown-relation / schema / column errors the same way. *)
+(* The parallel executor: a scheduler over [Txn.translate], one transaction
+   per dispatch step.  A write runs inline and yields the next version
+   (maintaining the indexes, if any); a version that differs from its
+   predecessor is logged, so no-op writes — which [Txn] answers with the
+   same database — are not.  A read becomes one pool task over the version
+   current at its dispatch, with a frozen copy of the index store from the
+   same moment: later writes never reach what it sees, so transaction i+1
+   proceeds while transaction i's read is still in flight.  The trace sink
+   is a plain closure — not domain-safe — so traced runs answer reads
+   inline, as the repair executor does. *)
+let run_dispatch ~pool ~index ~wal db0 tagged_queries =
+  let traced = Fdb_obs.Trace.enabled () in
+  let dispatch (site, db, versions) (tag, q) =
+    if Ast.is_update q then begin
+      let index = Option.map Ix.Session.use index in
+      let (r, db') = Txn.translate ?index q db in
+      let changed = db' != db in
+      (match wal with Some w when changed -> Wal.append w db' | _ -> ());
+      ( (site, db', if changed then versions + 1 else versions),
+        (tag, Lcell.make r) )
+    end
+    else begin
+      let index =
+        Option.map
+          (fun s -> Ix.Session.use ~maintain:false (Ix.Session.snapshot s))
+          index
+      in
+      let txn = Txn.translate ?index q in
+      let cell = Lcell.create () in
+      let answer () = Lcell.put cell (fst (txn db)) in
+      if traced then answer () else Pool.submit pool ~site answer;
+      ((site + 1, db, versions), (tag, cell))
+    end
+  in
+  let ((_, final, versions), answers) =
+    List.fold_left_map dispatch (0, db0, 1) tagged_queries
+  in
+  Option.iter Wal.sync wal;
+  Pool.wait pool;
+  {
+    responses = List.map (fun (tag, cell) -> (tag, Lcell.get cell)) answers;
+    final;
+    versions;
+  }
+
+(* Speculative repair, one [Exec.run_batch] per [batch] queries, each batch
+   entered on the version the previous one left. *)
+let run_batches ~pool ~batch ~index ~wal db0 tagged_queries =
+  if batch < 1 then invalid_arg "Pipeline.execute: repair batch must be >= 1";
+  let (tagged_rev, final, versions, _) =
+    List.fold_left
+      (fun (acc, db, versions, bid) chunk ->
+        let r =
+          Exec.run_batch ~pool ?index ~batch_id:bid db (List.map snd chunk)
+        in
+        let h = r.Exec.history in
+        Option.iter
+          (fun w ->
+            for i = 1 to History.length h - 1 do
+              Wal.append w (History.version h i)
+            done)
+          wal;
+        let tags = List.map fst chunk in
+        ( List.rev_append (List.combine tags r.Exec.responses) acc,
+          r.Exec.final,
+          versions + (History.length h - 1),
+          bid + 1 ))
+      ([], db0, 1, 0)
+      (Exec.chunks batch tagged_queries)
+  in
+  Option.iter Wal.sync wal;
+  { responses = List.rev tagged_rev; final; versions }
+
+let run_shards ~shards ~wal db0 tagged_queries =
+  let r =
+    Fdb_shard.Shard.run_merged ~shards ~initial:db0
+      (List.map
+         (fun (tag, q) -> { Fdb_merge.Merge.tag; item = q })
+         tagged_queries)
+  in
+  Option.iter
+    (fun w ->
+      List.iter (Wal.append w) r.Fdb_shard.Shard.versions;
+      Wal.sync w)
+    wal;
+  {
+    responses =
+      List.combine (Array.to_list r.Fdb_shard.Shard.tags)
+        (Array.to_list r.Fdb_shard.Shard.responses);
+    final = r.Fdb_shard.Shard.final;
+    versions = 1 + List.length r.Fdb_shard.Shard.versions;
+  }
+
+let execute ?wal executor db tagged_queries =
+  match executor with
+  | Parallel { pool; index } -> run_dispatch ~pool ~index ~wal db tagged_queries
+  | Repair { pool; batch; index } ->
+      run_batches ~pool ~batch ~index ~wal db tagged_queries
+  | Sharded { shards } -> run_shards ~shards ~wal db tagged_queries
+
+(* [Txn] answers in its own response type, shaped slightly differently
+   (option/bool where the pipeline uses list/int).  Error strings are
+   identical by construction: Txn and the pipeline share Pred and format
+   unknown-relation / schema / column errors the same way. *)
 let response_of_txn : Txn.response -> response = function
   | Txn.Inserted b -> Inserted b
   | Txn.Found t -> Found (Option.to_list t)
@@ -787,162 +889,47 @@ let response_of_txn : Txn.response -> response = function
   | Txn.Joined ts -> Joined ts
   | Txn.Failed e -> Failed e
 
-(* A database's contents per relation, in the spec's schema order. *)
-let contents_of spec db =
-  List.map
-    (fun schema ->
-      let name = Schema.name schema in
-      ( name,
-        match Database.relation db name with
-        | Some r -> Relation.to_list r
-        | None -> [] ))
-    spec.schemas
+let pipeline_responses o =
+  List.map (fun (tag, r) -> (tag, response_of_txn r)) o.responses
 
-let run_parallel ?(semantics = Ordered_unique) ?domains ?pool ?wal ?index spec
+(* -- db_spec wrappers ------------------------------------------------------ *)
+
+type par_report = {
+  par_responses : (int * response) list;
+  par_final_db : (string * Tuple.t list) list;
+}
+
+type repair_report = {
+  rep_responses : (int * response) list;
+  rep_final_db : (string * Tuple.t list) list;
+}
+
+let with_spec_pool ?domains pool f =
+  match pool with Some p -> f p | None -> Pool.with_pool ?domains f
+
+let run_parallel ?(semantics = Ordered_unique) ?domains ?pool spec
     tagged_queries =
   if semantics = Prepend then
     invalid_arg
       "Pipeline.run_parallel: Prepend semantics is not supported (the \
        executor runs Txn over keyed sets)";
-  let go pool =
-    (* The trace sink is a plain closure — not domain-safe — so traced runs
-       answer reads inline, as the repair executor does. *)
-    let traced = Fdb_obs.Trace.enabled () in
-    (* The dispatch chain, one transaction per step.  A write runs inline
-       and yields the next version (maintaining the indexes, if any); a
-       version that differs from its predecessor is logged, so no-op
-       writes — which [Txn] answers with the same database — are not.  A
-       read becomes one pool task over the version current at its
-       dispatch, with a frozen copy of the index store from the same
-       moment: later writes never reach what it sees, so transaction i+1
-       proceeds while transaction i's read is still in flight. *)
-    let dispatch (site, db) (tag, q) =
-      if Ast.is_update q then begin
-        let index = Option.map Ix.Session.use index in
-        let (r, db') = Txn.translate ?index q db in
-        (match wal with Some w when db' != db -> Wal.append w db' | _ -> ());
-        ((site, db'), (tag, Lcell.make (response_of_txn r)))
-      end
-      else begin
-        let index =
-          Option.map
-            (fun s -> Ix.Session.use ~maintain:false (Ix.Session.snapshot s))
-            index
-        in
-        let txn = Txn.translate ?index q in
-        let cell = Lcell.create () in
-        let answer () = Lcell.put cell (response_of_txn (fst (txn db))) in
-        if traced then answer () else Pool.submit pool ~site answer;
-        ((site + 1, db), (tag, cell))
-      end
-    in
-    let ((_, final), answers) =
-      List.fold_left_map dispatch (0, initial_database spec) tagged_queries
-    in
-    Option.iter Wal.sync wal;
-    Pool.wait pool;
-    let (stats : Pool.stats) = Pool.stats pool in
-    {
-      par_responses =
-        List.map (fun (tag, cell) -> (tag, Lcell.get cell)) answers;
-      par_final_db = contents_of spec final;
-      par_tasks = Array.fold_left ( + ) 0 stats.executed;
-      par_steals = stats.steals;
-      par_domains = stats.domains;
-    }
-  in
-  match pool with
-  | Some p -> go p
-  | None -> Pool.with_pool ?domains go
+  with_spec_pool ?domains pool (fun pool ->
+      let o =
+        execute (Parallel { pool; index = None }) (initial_database spec)
+          tagged_queries
+      in
+      {
+        par_responses = pipeline_responses o;
+        par_final_db = Database.contents o.final;
+      })
 
-(* -- the speculative repair executor -------------------------------------- *)
-
-type repair_report = {
-  rep_responses : (int * response) list;
-  rep_final_db : (string * Tuple.t list) list;
-  rep_batches : int;
-  rep_versions : int;  (* archived versions across all batches, incl. v0 *)
-  rep_stats : Fdb_repair.Exec.stats;
-}
-
-let run_repair ?domains ?(batch = 16) ?pool ?wal ?index spec tagged_queries =
-  if batch < 1 then invalid_arg "Pipeline.run_repair: batch must be >= 1";
-  (* Relations are keyed sets, so this mode is inherently Ordered_unique
-     (see [initial_database]) — no wal guard needed. *)
-  let db0 = initial_database spec in
-  let go pool =
-    let (tagged_rev, final, stats, versions, batches) =
-      List.fold_left
-        (fun (acc, db, stats, versions, bid) chunk ->
-          let r =
-            Fdb_repair.Exec.run_batch ~pool ?index ~batch_id:bid db
-              (List.map snd chunk)
-          in
-          (match wal with
-          | Some w ->
-              let h = r.Fdb_repair.Exec.history in
-              for i = 1 to Fdb_txn.History.length h - 1 do
-                Wal.append w (Fdb_txn.History.version h i)
-              done
-          | None -> ());
-          let tagged =
-            List.map2
-              (fun (tag, _) resp -> (tag, response_of_txn resp))
-              chunk r.Fdb_repair.Exec.responses
-          in
-          ( List.rev_append tagged acc,
-            r.Fdb_repair.Exec.final,
-            Fdb_repair.Exec.add_stats stats r.Fdb_repair.Exec.stats,
-            versions + (Fdb_txn.History.length r.Fdb_repair.Exec.history - 1),
-            bid + 1 ))
-        ([], db0, Fdb_repair.Exec.zero_stats, 1, 0)
-        (Fdb_repair.Exec.chunks batch tagged_queries)
-    in
-    (match wal with Some w -> Wal.sync w | None -> ());
-    {
-      rep_responses = List.rev tagged_rev;
-      rep_final_db = contents_of spec final;
-      rep_batches = batches;
-      rep_versions = versions;
-      rep_stats = stats;
-    }
-  in
-  match pool with Some p -> go p | None -> Pool.with_pool ?domains go
-
-(* -- the sharded two-level merge executor ---------------------------------- *)
-
-type shard_report = {
-  sh_responses : (int * response) list;
-  sh_final_db : (string * Tuple.t list) list;
-  sh_shards : int;
-  sh_versions : int;  (* durable versions incl. v0 *)
-  sh_stats : Fdb_shard.Shard.stats;
-}
-
-let run_sharded ?(shards = 2) ?wal spec tagged_queries =
-  (* Relations are keyed sets, so this mode is inherently Ordered_unique
-     (see [initial_database]) — no wal guard needed. *)
-  let db0 = initial_database spec in
-  let merged =
-    List.map
-      (fun (tag, q) -> { Fdb_merge.Merge.tag; item = q })
-      tagged_queries
-  in
-  let r = Fdb_shard.Shard.run_merged ~shards ~initial:db0 merged in
-  (match wal with
-  | Some w ->
-      List.iter (Wal.append w) r.Fdb_shard.Shard.versions;
-      Wal.sync w
-  | None -> ());
-  let responses =
-    List.mapi
-      (fun i tag -> (tag, response_of_txn r.Fdb_shard.Shard.responses.(i)))
-      (Array.to_list r.Fdb_shard.Shard.tags)
-  in
-  {
-    sh_responses = responses;
-    sh_final_db = contents_of spec r.Fdb_shard.Shard.final;
-    sh_shards = shards;
-    sh_versions = 1 + List.length r.Fdb_shard.Shard.versions;
-    sh_stats = r.Fdb_shard.Shard.stats;
-  }
+let run_repair ~batch ?pool spec tagged_queries =
+  with_spec_pool pool (fun pool ->
+      let o =
+        execute (Repair { pool; batch; index = None }) (initial_database spec)
+          tagged_queries
+      in
+      {
+        rep_responses = pipeline_responses o;
+        rep_final_db = Database.contents o.final;
+      })

@@ -62,8 +62,8 @@ val initial_database : db_spec -> Database.t
     state every ordered-unique executor starts from, and value-equal to a
     {!Database.load} fold, but built by {!Relation.of_tuples} per relation:
     O(n log n), and O(n) when each relation's tuples are already ascending
-    by key, as the [*_final_db] of a previous run is ({!run_parallel},
-    {!run_repair} and {!run_sharded} build it on every call).  Pass this to
+    by key.  Build it once and hand it to {!val:execute}, which passes its
+    [final] database on to the next call without a rebuild.  Pass it to
     {!Fdb_wal.Wal.create} to open a durability sink ([?wal] below) whose
     genesis checkpoint matches the run.
     @raise Invalid_argument when the spec's initial tuples do not match
@@ -139,116 +139,128 @@ val check_serializable :
 (** Run both and compare responses position by position; [Error] carries
     the first mismatch, pretty-printed. *)
 
-(** {1 The parallel executor}
+(** {1 The executors over [Database.t]}
 
-    Real multicore execution on OCaml 5 domains ({!Fdb_par.Pool}), as
-    opposed to the {e simulated} parallelism the engine measures.  The
-    executor is a scheduler over {!Fdb_txn.Txn.translate}: its state is a
-    {!Database.t}, every write runs inline on the dispatching thread (a
-    cheap path-copying version construction), and every read is one pool
-    task applying its transaction to the version current at its dispatch.
+    Three execution modes on real OCaml 5 domains, as opposed to the
+    {e simulated} parallelism the engine measures.  Each is the paper's
+    transaction type over a whole batch, [Database.t -> responses *
+    Database.t]: {!val:execute} takes the version to start from and
+    returns the version it left, so consecutive batches hand state over
+    without a copy — every relation slot a batch does not write is
+    physically shared between its input and its [final].  Responses are
+    {!Fdb_txn.Txn.response}s; {!val:pipeline_responses} converts them for
+    comparison with {!val:reference}[ ~semantics:Ordered_unique], which
+    every mode must equal on the same inputs (the differential tests
+    assert exactly this).  Relations are keyed sets, so every mode is
+    inherently ordered-unique. *)
 
-    Versions are immutable, so a read never sees a later write and
-    nothing locks: transaction [i+1] proceeds while transaction [i]'s
-    read is still in flight — the paper's pipelining across real cores,
-    and the reader contract of a logical update view.  Task completion
-    order is nondeterministic, but each read's answer is a function of
-    its version alone, so the response stream is deterministic and must
-    equal {!val:run} and {!val:reference}[ ~semantics:Ordered_unique] on
-    the same inputs (the differential tests assert exactly this). *)
+type executor =
+  | Parallel of {
+      pool : Fdb_par.Pool.t;
+      index : Fdb_index.Index.Session.t option;
+    }
+      (** A scheduler over {!Fdb_txn.Txn.translate}: every write runs
+          inline on the dispatching thread (a cheap path-copying version
+          construction), every read is one pool task applying its
+          transaction to the version current at its dispatch.  Versions
+          are immutable, so a read never sees a later write and nothing
+          locks: transaction [i+1] proceeds while transaction [i]'s read
+          is still in flight — the paper's pipelining across real cores,
+          and the reader contract of a logical update view.  With [index],
+          writes maintain the session's indexes inline and each read is
+          planned through a frozen copy of the session captured at its
+          dispatch.  When a trace sink is installed
+          ({!Fdb_obs.Trace.enabled}) reads run inline too — the sink is
+          not domain-safe. *)
+  | Repair of {
+      pool : Fdb_par.Pool.t;
+      batch : int;
+      index : Fdb_index.Index.Session.t option;
+    }
+      (** Speculative parallel batches with incremental repair
+          ({!Fdb_repair.Exec}): the stream is cut into batches of [batch]
+          queries; each runs all its transactions in parallel against the
+          batch-entry version and repairs footprint conflicts to the serial
+          fixpoint.  [index] is threaded through every batch as in
+          {!Fdb_repair.Exec.run_batch}: speculative reads go through the
+          indexes, commits advance them at the serial commit point. *)
+  | Sharded of { shards : int }
+      (** Multi-site serialization with a commutativity-aware bypass
+          ({!Fdb_shard.Shard}): the already-merged stream (tags are client
+          ids — the level-1 router order) runs over [shards] relation
+          slices, each with its own merge point and version archive;
+          cross-shard transactions whose footprints commute with the open
+          epoch bypass the global spine, the rest are serialized through
+          it. *)
+
+type outcome = {
+  responses : (int * Fdb_txn.Txn.response) list;
+      (** (tag, response), stream order *)
+  final : Database.t;  (** the version the last transaction left *)
+  versions : int;
+      (** the input version plus every version the run hands to [?wal]:
+          one per changing write (Parallel, Sharded), one per transaction
+          (Repair, whose batch histories archive reads too) *)
+}
+
+val execute :
+  ?wal:Fdb_wal.Wal.writer ->
+  executor ->
+  Database.t ->
+  (int * Fdb_query.Ast.query) list ->
+  outcome
+(** Run the merged stream from the given version.  The pool is the
+    caller's and stays running; read its {!Fdb_par.Pool.stats} for task
+    and steal counts, and the [repair.*]/[shard.*] metrics for the modes'
+    own counters.  [wal] attaches a durability sink, opened on the
+    version the first call starts from: Parallel appends each changed
+    version inline on the dispatch thread (so the log order is the stream
+    order) and syncs before the pool drains; Repair appends each batch's
+    repaired version chain once the batch reaches its fixpoint; Sharded
+    appends the reassembled global version chain.  The log is synced
+    before [execute] returns.
+    @raise Invalid_argument when a Repair [batch < 1] or [shards < 1]. *)
+
+val pipeline_responses : outcome -> (int * response) list
+(** The outcome's responses in this module's response type, for comparison
+    with {!val:reference} and {!val:run}. *)
+
+(** {2 [db_spec] wrappers}
+
+    The benchmark's entry points: each builds {!val:initial_database}[
+    spec], runs {!val:execute} once and lists the final database.  They
+    exist until the benchmark hands state over as [Database.t]. *)
 
 type par_report = {
   par_responses : (int * response) list;  (** (tag, response), stream order *)
   par_final_db : (string * Tuple.t list) list;
-  par_tasks : int;  (** pool tasks executed (one per untraced read) *)
-  par_steals : int;  (** tasks run by a domain other than their home *)
-  par_domains : int;
 }
 
 val run_parallel :
   ?semantics:semantics ->
   ?domains:int ->
   ?pool:Fdb_par.Pool.t ->
-  ?wal:Fdb_wal.Wal.writer ->
-  ?index:Fdb_index.Index.Session.t ->
   db_spec ->
   (int * Fdb_query.Ast.query) list ->
   par_report
-(** Execute the merged stream on a domain pool, starting from
-    {!val:initial_database}[ spec].  Relations are keyed sets, so
-    [semantics] must be [Ordered_unique] (the default).  [domains]
-    defaults to the pool default ({!Fdb_par.Pool.create}).  Passing
-    [pool] reuses an existing pool (and leaves it running); otherwise a
-    fresh pool is created and shut down around the run — in that case
-    [par_tasks] and [par_steals] count this run alone.  [wal] attaches a
-    durability sink as in {!val:run}: every write that changes the
-    database appends its version inline on the dispatch thread (so the
-    log order is the stream order), and the log is synced before the pool
-    drains.  [index] attaches an index session: writes maintain its
-    indexes inline, and each read is planned through a frozen copy of the
-    session whose store is captured at the read's dispatch.  When a trace
-    sink is installed ({!Fdb_obs.Trace.enabled}) reads run inline too —
-    the sink is not domain-safe.
+(** {!constructor:Parallel} from [initial_database spec], without index.
+    [semantics] must be [Ordered_unique] (the default).  Passing [pool]
+    reuses an existing pool (and leaves it running); otherwise a fresh
+    pool of [domains] (default {!Fdb_par.Pool.create}'s) is created and
+    shut down around the run.
     @raise Invalid_argument on [Prepend] semantics. *)
 
 type repair_report = {
   rep_responses : (int * response) list;  (** (tag, response), stream order *)
   rep_final_db : (string * Tuple.t list) list;
-  rep_batches : int;
-  rep_versions : int;
-      (** versions archived across all batch histories, including v0 *)
-  rep_stats : Fdb_repair.Exec.stats;  (** summed over batches *)
 }
 
 val run_repair :
-  ?domains:int ->
-  ?batch:int ->
+  batch:int ->
   ?pool:Fdb_par.Pool.t ->
-  ?wal:Fdb_wal.Wal.writer ->
-  ?index:Fdb_index.Index.Session.t ->
   db_spec ->
   (int * Fdb_query.Ast.query) list ->
   repair_report
-(** The third execution mode: speculative parallel batches with
-    incremental repair ({!Fdb_repair.Exec}).  The stream is cut into
-    batches of [batch] (default 16) queries; each batch runs all its
-    transactions in parallel against the batch-entry version and repairs
-    footprint conflicts to the serial fixpoint, so responses and final
-    state equal {!val:reference}[ ~semantics:Ordered_unique] (this mode
-    is inherently ordered-unique: relations are keyed sets).  Pool reuse
-    follows {!val:run_parallel}.  [wal] attaches a durability sink: each
-    batch's repaired version chain is appended after the batch reaches
-    its fixpoint, and the log is synced at the end of the run.  [index]
-    attaches an index session, threaded through every batch as in
-    {!Fdb_repair.Exec.run_batch}: speculative reads go through the
-    indexes, commits advance them at the serial commit point.
+(** {!constructor:Repair} from [initial_database spec], without index;
+    pool reuse follows {!val:run_parallel}.
     @raise Invalid_argument when [batch < 1]. *)
-
-type shard_report = {
-  sh_responses : (int * response) list;  (** (tag, response), stream order *)
-  sh_final_db : (string * Tuple.t list) list;
-      (** the shard slices reassembled *)
-  sh_shards : int;
-  sh_versions : int;
-      (** durable global versions, including v0 (the initial database) *)
-  sh_stats : Fdb_shard.Shard.stats;
-}
-
-val run_sharded :
-  ?shards:int ->
-  ?wal:Fdb_wal.Wal.writer ->
-  db_spec ->
-  (int * Fdb_query.Ast.query) list ->
-  shard_report
-(** The fourth execution mode: multi-site serialization with a
-    commutativity-aware bypass ({!Fdb_shard.Shard}).  The already-merged
-    stream (tags are client ids — the level-1 router order) is executed
-    over [shards] (default 2) relation slices, each with its own merge
-    point and version archive; cross-shard transactions whose footprints
-    commute with the open epoch bypass the global spine, the rest are
-    serialized through it.  Responses and final state equal
-    {!val:reference}[ ~semantics:Ordered_unique] over the same order
-    (this mode is inherently ordered-unique: relations are keyed sets).
-    [wal] attaches a durability sink fed the reassembled global version
-    chain, synced at the end of the run.
-    @raise Invalid_argument when [shards < 1]. *)

@@ -3,17 +3,13 @@ module Openloop = Fdb_workload.Openloop
 module Metrics = Fdb_obs.Metrics
 module Txn = Fdb_txn.Txn
 
-type mode =
-  | Sequential
-  | Parallel of { domains : int option }
-  | Repair of { batch : int }
-  | Sharded of { shards : int }
+type mode = Sequential | Batched of Pipeline.executor
 
 let mode_name = function
   | Sequential -> "sequential"
-  | Parallel _ -> "parallel"
-  | Repair _ -> "repair"
-  | Sharded _ -> "sharded"
+  | Batched (Pipeline.Parallel _) -> "parallel"
+  | Batched (Pipeline.Repair _) -> "repair"
+  | Batched (Pipeline.Sharded _) -> "sharded"
 
 type phase_stats = {
   ph_name : string;
@@ -63,14 +59,6 @@ let digest_contents per_relation =
         tuples)
     (List.sort (fun (a, _) (b, _) -> String.compare a b) per_relation);
   Digest.to_hex (Digest.string (Buffer.contents b))
-
-let db_contents db =
-  List.map
-    (fun name ->
-      match Database.relation db name with
-      | Some r -> (name, Relation.to_list r)
-      | None -> (name, []))
-    (Database.names db)
 
 (* Bulk-load the initial image on the chosen backend.  [Database.of_tuples]
    takes the column backend's O(n log n) pack path, so million-tuple loads
@@ -123,71 +111,49 @@ let run_sequential ~clock (plan : Openloop.t) db0 =
   done;
   let t1 = clock () in
   let run_s = Int64.to_float (Int64.sub t1 t0) /. 1e9 in
-  (run_s, !failed, db_contents !db)
+  (run_s, !failed, !db)
 
-(* The stream cut into microbatches, each run through [run] — a
-   [Pipeline] execution mode — against the state the previous batch left.
-   The modes consume a [db_spec] (tuple lists), so state is
-   re-materialized between batches — per-batch latency includes that
-   handoff, which is why this path is for differential smoke and mode
-   comparison, not million-tuple sustained-throughput claims (use
-   [Sequential] for those). *)
-let run_batched ~clock ~microbatch ~run (plan : Openloop.t) =
+(* The stream cut into microbatches, each run through [executor] on the
+   version the previous batch left: state is handed over as a [Database.t]
+   on the caller's backend, so a batch's latency is its transactions, not
+   a rebuild of the relations. *)
+let run_batched ~clock ~microbatch executor (plan : Openloop.t) db0 =
   let h = Metrics.histogram latency_hist in
   let stream = Array.of_list (Openloop.tagged plan) in
   let n = Array.length stream in
-  let current = ref plan.Openloop.initial in
+  let db = ref db0 in
   let failed = ref 0 in
   let t0 = clock () in
   let i = ref 0 in
   while !i < n do
     let len = min microbatch (n - !i) in
     let batch = Array.to_list (Array.sub stream !i len) in
-    let spec =
-      { Pipeline.schemas = plan.Openloop.schemas; initial = !current }
-    in
     let s = clock () in
-    let (responses, final_db) = run spec batch in
+    let o = Pipeline.execute executor !db batch in
     let e = clock () in
     Metrics.observe h (Int64.to_int (Int64.sub e s));
     List.iter
-      (fun (_, resp) ->
-        match resp with Pipeline.Failed _ -> incr failed | _ -> ())
-      responses;
-    current := final_db;
+      (fun (_, resp) -> match resp with Txn.Failed _ -> incr failed | _ -> ())
+      o.Pipeline.responses;
+    db := o.Pipeline.final;
     i := !i + len
   done;
   let t1 = clock () in
   let run_s = Int64.to_float (Int64.sub t1 t0) /. 1e9 in
-  (run_s, !failed, !current)
+  (run_s, !failed, !db)
 
 let drive ?(mode = Sequential) ?(microbatch = 512)
     ?(backend = Relation.Btree_backend 8) ?(clock = default_clock)
     (plan : Openloop.t) =
   if microbatch < 1 then invalid_arg "Traffic.drive: microbatch < 1";
-  let batched run () = run_batched ~clock ~microbatch ~run plan in
-  let pooled ?domains run () =
-    Fdb_par.Pool.with_pool ?domains (fun pool -> batched (run pool) ())
-  in
-  let run =
+  let db0 = initial_db ~backend plan in
+  let run () =
     match mode with
-    | Sequential ->
-        let db0 = initial_db ~backend plan in
-        fun () -> run_sequential ~clock plan db0
-    | Parallel { domains } ->
-        pooled ?domains (fun pool spec batch ->
-            let r = Pipeline.run_parallel ~pool spec batch in
-            (r.Pipeline.par_responses, r.Pipeline.par_final_db))
-    | Repair { batch = b } ->
-        pooled (fun pool spec batch ->
-            let r = Pipeline.run_repair ~batch:b ~pool spec batch in
-            (r.Pipeline.rep_responses, r.Pipeline.rep_final_db))
-    | Sharded { shards } ->
-        batched (fun spec batch ->
-            let r = Pipeline.run_sharded ~shards spec batch in
-            (r.Pipeline.sh_responses, r.Pipeline.sh_final_db))
+    | Sequential -> run_sequential ~clock plan db0
+    | Batched executor -> run_batched ~clock ~microbatch executor plan db0
   in
   let ((run_s, failed, final), snap) = Metrics.scoped run in
+  let final = Database.contents final in
   let txns = Openloop.total_txns plan in
   let (p50, p99, p999) = percentiles (stats_of snap latency_hist) in
   let phases =

@@ -3,21 +3,19 @@
     latency percentiles and sustained throughput from the
     {!Fdb_obs.Metrics} histogram shards.
 
-    [Sequential] applies the stream one transaction at a time through the
-    reference interpreter {!Fdb_txn.Txn.translate} on the chosen relation
-    backend, rolling the version chain forward without retention — the
-    scalable path, and the only mode with true per-transaction service
-    times.  The other modes cut the stream into microbatches and push each
-    through the corresponding {!Pipeline} executor ([run_parallel],
-    [run_repair], [run_sharded]), timing whole batches; they exist for
-    differential smoke and mode comparison at moderate scale, since the
-    pipeline modes re-materialize state between batches. *)
+    Every mode starts from the plan's initial image bulk-loaded on the
+    chosen relation backend (untimed).  [Sequential] applies the stream one
+    transaction at a time through {!Fdb_txn.Txn.translate}, rolling the
+    version chain forward without retention — the only mode with true
+    per-transaction service times.  [Batched] cuts the stream into
+    microbatches and runs each through {!Pipeline.execute}, timing whole
+    batches; each batch starts from the [Database.t] the previous one
+    left, so state stays on the chosen backend and is never rebuilt
+    between batches.  The executor's pool is the caller's.  An executor
+    carrying an index session must have opened it on the plan's initial
+    image on the same backend. *)
 
-type mode =
-  | Sequential
-  | Parallel of { domains : int option }
-  | Repair of { batch : int }  (** speculative repair batch size *)
-  | Sharded of { shards : int }
+type mode = Sequential | Batched of Pipeline.executor
 
 val mode_name : mode -> string
 

@@ -77,7 +77,9 @@ let tokens src =
         while !j < n && is_digit src.[!j] do
           incr j
         done;
-        go !j (INT (int_of_string (String.sub src i (!j - i))) :: acc)
+        match int_of_string_opt (String.sub src i (!j - i)) with
+        | Some k -> go !j (INT k :: acc)
+        | None -> raise (Lex_error ("integer literal out of range", i))
       end
       else if is_alpha c then begin
         (* identifier; interior '-' belongs to the name when followed by a

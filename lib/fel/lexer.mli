@@ -21,5 +21,7 @@ type token =
 exception Lex_error of string * int
 
 val tokens : string -> token list
+(** @raise Lex_error on an unexpected character, an unterminated string or
+    an integer literal outside the native [int] range. *)
 
 val pp_token : Format.formatter -> token -> unit

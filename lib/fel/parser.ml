@@ -199,12 +199,11 @@ let wrap f src =
   | toks -> (
       let c = { toks } in
       match f c with
-      | v ->
-          if c.toks = [] then Ok v
-          else
-            Error
-              (Format.asprintf "trailing input: %a" Lexer.pp_token
-                 (List.hd c.toks))
+      | v -> (
+          match c.toks with
+          | [] -> Ok v
+          | t :: _ ->
+              Error (Format.asprintf "trailing input: %a" Lexer.pp_token t))
       | exception Parse_error msg -> Error msg)
 
 let parse_expr src = wrap expr src

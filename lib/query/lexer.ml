@@ -72,7 +72,9 @@ let tokens src =
         end
         else
           let s = String.sub src i (!j - i) in
-          go !j (INT (int_of_string s) :: acc)
+          match int_of_string_opt s with
+          | Some k -> go !j (INT k :: acc)
+          | None -> raise (Lex_error ("integer literal out of range", i))
       end
       else if is_alpha c then begin
         let j = ref i in

@@ -18,6 +18,7 @@ val keywords : string list
 (** Reserved words; identifiers cannot collide with them. *)
 
 val tokens : string -> token list
-(** @raise Lex_error on an unrecognized character or unterminated string. *)
+(** @raise Lex_error on an unrecognized character, an unterminated string
+    or an integer literal outside the native [int] range. *)
 
 val pp_token : Format.formatter -> token -> unit

@@ -211,10 +211,13 @@ let parse src =
   | toks -> (
       let c = { toks } in
       match query c with
-      | q ->
-          if c.toks = [] then Ok q
-          else Error (Format.asprintf "trailing input after query: %a"
-                        Lexer.pp_token (List.hd c.toks))
+      | q -> (
+          match c.toks with
+          | [] -> Ok q
+          | t :: _ ->
+              Error
+                (Format.asprintf "trailing input after query: %a"
+                   Lexer.pp_token t))
       | exception Parse_error msg -> Error msg)
 
 let parse_exn src =

@@ -10,6 +10,8 @@ let names db = List.map fst db.rels
 
 let slots db = db.rels
 
+let contents db = List.map (fun (name, r) -> (name, Relation.to_list r)) db.rels
+
 let relation db name = List.assoc_opt name db.rels
 
 let schema_of db name = Option.map Relation.schema (relation db name)

@@ -14,6 +14,10 @@ val names : t -> string list
 val slots : t -> (string * Relation.t) list
 (** Every relation with its name, in slot order (the order of {!names}). *)
 
+val contents : t -> (string * Tuple.t list) list
+(** Every relation's tuples ({!Relation.to_list}) with its name, in slot
+    order. *)
+
 val relation : t -> string -> Relation.t option
 
 val schema_of : t -> string -> Schema.t option

@@ -464,21 +464,51 @@ let test_traffic_differential () =
         && ph.T.ph_p50_ns <= ph.T.ph_p999_ns))
     seq.T.tr_phases;
   let digests =
-    List.map
-      (fun (label, mode, backend) ->
-        let r = T.drive ~mode ~microbatch:64 ~backend traffic_plan in
-        (label, r.T.tr_final_digest, r.T.tr_final_tuples))
-      [
-        ("seq-column", T.Sequential, Relation.Column_backend 64);
-        ("sharded", T.Sharded { shards = 2 }, Relation.Btree_backend 8);
-        ("repair", T.Repair { batch = 16 }, Relation.Btree_backend 8);
-      ]
+    Fdb_par.Pool.with_pool ~domains:2 (fun pool ->
+        List.map
+          (fun (label, mode, backend) ->
+            let r = T.drive ~mode ~microbatch:64 ~backend traffic_plan in
+            (label, r.T.tr_final_digest, r.T.tr_final_tuples))
+          [
+            ("seq-column", T.Sequential, Relation.Column_backend 64);
+            ( "sharded",
+              T.Batched (Sharded { shards = 2 }),
+              Relation.Btree_backend 8 );
+            ( "repair",
+              T.Batched (Repair { pool; batch = 16; index = None }),
+              Relation.Btree_backend 8 );
+          ])
   in
   List.iter
     (fun (label, digest, tuples) ->
       Alcotest.(check string) (label ^ " digest") seq.T.tr_final_digest digest;
       Alcotest.(check int) (label ^ " tuples") seq.T.tr_final_tuples tuples)
     digests
+
+(* The batched modes hand each batch's [Database.t] to the next on the
+   caller's backend: on the list and column layouts too, every mode lands
+   the sequential btree-8 digest and reports the backend it ran on. *)
+let test_traffic_batched_backends () =
+  let module T = Fdb.Traffic in
+  let seq = T.drive ~backend:(Relation.Btree_backend 8) traffic_plan in
+  Fdb_par.Pool.with_pool ~domains:2 (fun pool ->
+      List.iter
+        (fun backend ->
+          List.iter
+            (fun executor ->
+              let r =
+                T.drive ~mode:(T.Batched executor) ~microbatch:64 ~backend
+                  traffic_plan
+              in
+              let label = r.T.tr_mode ^ " on " ^ r.T.tr_backend in
+              Alcotest.(check string) (label ^ ": backend")
+                (Relation.backend_name backend) r.T.tr_backend;
+              Alcotest.(check string) (label ^ ": digest")
+                seq.T.tr_final_digest r.T.tr_final_digest)
+            [ Pipeline.Parallel { pool; index = None };
+              Repair { pool; batch = 16; index = None };
+              Sharded { shards = 2 } ])
+        [ Relation.List_backend; Relation.Column_backend 256 ])
 
 let () =
   Alcotest.run "core"
@@ -527,6 +557,8 @@ let () =
         [
           Alcotest.test_case "modes and backends agree" `Quick
             test_traffic_differential;
+          Alcotest.test_case "batched modes on list and column" `Quick
+            test_traffic_batched_backends;
         ] );
       ( "cluster",
         [

@@ -78,6 +78,37 @@ let test_parser_errors () =
       | Ok _ -> Alcotest.failf "accepted %S" src)
     [ ""; "RESULT"; "x = , RESULT 1"; "x = 1 RESULT"; "1 = 2, RESULT 1" ]
 
+let test_parser_int_out_of_range () =
+  Alcotest.(check bool) "max_int parses" true
+    (Result.is_ok (Parser.parse_expr (string_of_int max_int)));
+  List.iter
+    (fun src ->
+      match Parser.parse_program src with
+      | Error msg ->
+          Alcotest.(check bool) (src ^ ": names the range") true
+            (String.ends_with ~suffix:"integer literal out of range" msg)
+      | Ok _ -> Alcotest.failf "accepted %S" src)
+    [ "99999999999999999999"; "RESULT 1 + 99999999999999999999" ]
+
+(* Arbitrary bytes, and soups of FEL fragments, must come back as [Ok] or
+   [Error] from both entry points: the parser never raises. *)
+let fel_fragments =
+  [ "RESULT"; "if"; "then"; "else"; "x"; "f"; "apply-stream"; "null?"; "=";
+    ":"; "^"; "||"; "+"; "-"; "*"; "/"; "<="; "!="; "("; ")"; "["; "]"; ",";
+    "\n"; "\""; "\"s\""; "1"; "0"; "99999999999999999999"; "%"; "x-1" ]
+
+let prop_parser_never_raises =
+  QCheck2.Test.make ~name:"parse arbitrary bytes: Ok or Error" ~count:2000
+    ~print:(Printf.sprintf "%S")
+    QCheck2.Gen.(
+      oneof
+        [ string_size ~gen:char (int_bound 64);
+          map (String.concat " ")
+            (list_size (int_bound 12) (oneofl fel_fragments)) ])
+    (fun src ->
+      (match Parser.parse_program src with Ok _ | Error _ -> ());
+      match Parser.parse_expr src with Ok _ | Error _ -> true)
+
 (* -- evaluation --------------------------------------------------------------- *)
 
 let test_arith () =
@@ -409,6 +440,9 @@ let () =
           Alcotest.test_case "equations" `Quick test_parser_equations;
           Alcotest.test_case "destructuring" `Quick test_parser_destructuring;
           Alcotest.test_case "errors" `Quick test_parser_errors;
+          Alcotest.test_case "integer out of range" `Quick
+            test_parser_int_out_of_range;
+          QCheck_alcotest.to_alcotest prop_parser_never_raises;
         ] );
       ( "evaluation",
         [

@@ -314,13 +314,18 @@ let differential_scenario pools ~semantics ~seed =
       List.iter
         (fun (domains, pool) ->
           let name = Printf.sprintf "%s @ %d domains" name domains in
-          let par = Pipeline.run_parallel ~pool spec tagged in
+          let par =
+            Pipeline.execute
+              (Parallel { pool; index = None })
+              (Pipeline.initial_database spec)
+              tagged
+          in
           check_streams (name ^ " par vs ideal") ideal.Pipeline.responses
-            par.Pipeline.par_responses;
+            (Pipeline.pipeline_responses par);
           check_streams (name ^ " par vs reference") reference
-            par.Pipeline.par_responses;
+            (Pipeline.pipeline_responses par);
           check_final (name ^ " final db") ideal.Pipeline.final_db
-            par.Pipeline.par_final_db)
+            (Database.contents par.Pipeline.final))
         pools
 
 (* [f] over one open pool per domain count, all closed on return. *)
@@ -337,16 +342,123 @@ let test_differential semantics () =
         differential_scenario pools ~semantics ~seed
       done)
 
+let changing_writes db0 tagged =
+  snd
+    (List.fold_left
+       (fun (db, n) (_, q) ->
+         let (_, db') = Fdb_txn.Txn.translate q db in
+         (db', if db' != db then n + 1 else n))
+       (db0, 0) tagged)
+
 let test_parallel_report_counts () =
   let spec = spec_for ~seed:1 in
   let tagged = gen_queries ~seed:1 40 in
-  let par = Pipeline.run_parallel ~domains:2 spec tagged in
+  let db0 = Pipeline.initial_database spec in
+  let (par, stats) =
+    Pool.with_pool ~domains:2 (fun pool ->
+        let par =
+          Pipeline.execute (Parallel { pool; index = None }) db0 tagged
+        in
+        (par, Pool.stats pool))
+  in
   let reads =
     List.length
       (List.filter (fun (_, q) -> not (Fdb_query.Ast.is_update q)) tagged)
   in
-  Alcotest.(check int) "domains as configured" 2 par.Pipeline.par_domains;
-  Alcotest.(check int) "one pool task per read" reads par.Pipeline.par_tasks
+  Alcotest.(check int) "domains as configured" 2 stats.Pool.domains;
+  Alcotest.(check int) "one pool task per read" reads
+    (Array.fold_left ( + ) 0 stats.Pool.executed);
+  Alcotest.(check int) "one version per changing write, plus the input"
+    (1 + changing_writes db0 tagged)
+    par.Pipeline.versions
+
+(* Two consecutive [execute] calls per executor: the second starts from the
+   first one's [final], and every relation slot it does not write is the
+   very object it was handed — state crosses batches without a copy. *)
+let test_state_shared_across_batches () =
+  let schemas =
+    List.map
+      (fun name ->
+        Schema.make ~name ~cols:[ ("key", Schema.CInt); ("val", Schema.CStr) ])
+      [ "R"; "S"; "T" ]
+  in
+  let spec =
+    {
+      Pipeline.schemas;
+      initial =
+        List.map
+          (fun name ->
+            (name, List.init 20 (fun k -> tup k (name ^ string_of_int k))))
+          [ "R"; "S"; "T" ];
+    }
+  in
+  let tagged srcs = List.mapi (fun i src -> (i mod 2, q src)) srcs in
+  let first =
+    tagged
+      [ "insert (30, \"a\") into R"; "delete 3 from S"; "count T";
+        "update T set val = \"t\" where key = 4"; "find 5 in R" ]
+  in
+  let second =
+    tagged
+      [ "insert (31, \"b\") into R"; "select * from S where key > 10";
+        "delete 6 from R"; "sum key from T"; "join R and S on key = key" ]
+  in
+  let written =
+    List.concat_map
+      (fun (_, q) ->
+        if Fdb_query.Ast.is_update q then Fdb_query.Ast.relations_touched q
+        else [])
+      second
+  in
+  let reference =
+    Pipeline.reference ~semantics:Pipeline.Ordered_unique spec (first @ second)
+  in
+  Pool.with_pool ~domains:2 (fun pool ->
+      List.iter
+        (fun (name, executor) ->
+          let o1 =
+            Pipeline.execute executor (Pipeline.initial_database spec) first
+          in
+          let o2 = Pipeline.execute executor o1.Pipeline.final second in
+          check_streams (name ^ ": both batches vs reference") reference
+            (Pipeline.pipeline_responses o1 @ Pipeline.pipeline_responses o2);
+          List.iter
+            (fun (rel, slot) ->
+              let slot' = Database.relation o2.Pipeline.final rel in
+              let shared =
+                match slot' with Some s -> s == slot | None -> false
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: slot %s shared" name rel)
+                (not (List.mem rel written)) shared)
+            (Database.slots o1.Pipeline.final))
+        [ ("parallel", Pipeline.Parallel { pool; index = None });
+          ("repair", Pipeline.Repair { pool; batch = 2; index = None });
+          ("sharded", Pipeline.Sharded { shards = 2 }) ])
+
+(* The [db_spec] wrappers are [execute] from [initial_database spec]. *)
+let test_wrappers_equal_execute () =
+  Pool.with_pool ~domains:2 (fun pool ->
+      for seed = 0 to 9 do
+        let spec = spec_for ~seed in
+        let tagged = gen_queries ~seed (10 + seed) in
+        let name = Printf.sprintf "seed %d" seed in
+        let execute executor =
+          Pipeline.execute executor (Pipeline.initial_database spec) tagged
+        in
+        let par = Pipeline.run_parallel ~pool spec tagged in
+        let o = execute (Parallel { pool; index = None }) in
+        check_streams (name ^ " run_parallel") (Pipeline.pipeline_responses o)
+          par.Pipeline.par_responses;
+        check_final (name ^ " run_parallel final")
+          (Database.contents o.Pipeline.final) par.Pipeline.par_final_db;
+        let rep = Pipeline.run_repair ~batch:4 ~pool spec tagged in
+        let o = execute (Repair { pool; batch = 4; index = None }) in
+        check_streams (name ^ " run_repair") (Pipeline.pipeline_responses o)
+          rep.Pipeline.rep_responses;
+        check_final (name ^ " run_repair final")
+          (Database.contents o.Pipeline.final) rep.Pipeline.rep_final_db
+      done)
 
 (* Reads see the index store as it was at their dispatch.  The only worker
    domain is held busy, so the three indexed reads on group "a" are still
@@ -387,17 +499,16 @@ let test_indexed_reads_see_dispatch_store () =
         "insert (22, \"a\", 200) into G";
         "delete 4 from G" ]
   in
-  let session =
-    Ix.Session.create_exn catalog (Pipeline.initial_database spec)
-  in
+  let db0 = Pipeline.initial_database spec in
+  let session = Ix.Session.create_exn catalog db0 in
   let par =
     Pool.with_pool ~domains:1 (fun pool ->
         Pool.submit pool ~site:0 (fun () -> Unix.sleepf 0.05);
-        Pipeline.run_parallel ~pool ~index:session spec tagged)
+        Pipeline.execute (Parallel { pool; index = Some session }) db0 tagged)
   in
   check_streams "indexed par vs reference"
     (Pipeline.reference ~semantics:Pipeline.Ordered_unique spec tagged)
-    par.Pipeline.par_responses
+    (Pipeline.pipeline_responses par)
 
 let () =
   Alcotest.run "par"
@@ -445,5 +556,9 @@ let () =
             test_parallel_report_counts;
           Alcotest.test_case "indexed reads see dispatch store" `Quick
             test_indexed_reads_see_dispatch_store;
+          Alcotest.test_case "state shared across batches" `Quick
+            test_state_shared_across_batches;
+          Alcotest.test_case "wrappers == execute" `Quick
+            test_wrappers_equal_execute;
         ] );
     ]

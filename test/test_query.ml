@@ -127,6 +127,22 @@ let test_parse_errors () =
       "find 3 in"; "count"; "join R and S on b"; "find 3 in R extra";
       "select * from R where" ]
 
+let test_parse_int_out_of_range () =
+  Alcotest.(check bool) "max_int parses" true
+    (Result.is_ok (Parser.parse (Printf.sprintf "find %d in R" max_int)));
+  Alcotest.(check bool) "min_int parses" true
+    (Result.is_ok (Parser.parse (Printf.sprintf "find %d in R" min_int)));
+  List.iter
+    (fun src ->
+      match Parser.parse src with
+      | Error msg ->
+          Alcotest.(check bool) (src ^ ": names the range") true
+            (String.ends_with ~suffix:"integer literal out of range" msg)
+      | Ok _ -> Alcotest.failf "accepted %S" src)
+    [ "insert (99999999999999999999, \"a\") into R";
+      Printf.sprintf "find %d0 in R" max_int;
+      "select * from R where key > -99999999999999999999" ]
+
 let test_parse_script () =
   match
     Parser.parse_script
@@ -217,6 +233,27 @@ let prop_pp_parse_roundtrip =
       match Parser.parse (Ast.to_string q) with
       | Ok q' -> q' = q
       | Error e -> QCheck2.Test.fail_reportf "%s on %S" e (Ast.to_string q))
+
+(* Arbitrary bytes, and soups of query fragments (keywords, operators,
+   quotes, out-of-range numbers), must come back as [Ok] or [Error]: the
+   parser never raises. *)
+let gen_input fragments =
+  QCheck2.Gen.(
+    oneof
+      [ string_size ~gen:char (int_bound 64);
+        map (String.concat " ") (list_size (int_bound 12) (oneofl fragments)) ])
+
+let query_fragments =
+  [ "insert"; "into"; "find"; "in"; "delete"; "from"; "select"; "where";
+    "count"; "sum"; "max"; "update"; "set"; "join"; "and"; "or"; "not";
+    "on"; "R"; "key"; "val"; "("; ")"; ","; "*"; "="; "!="; "<="; ">"; "\"";
+    "'"; "\"a\""; "1"; "-"; "-7"; "2.5"; "-0."; "99999999999999999999";
+    "4611686018427387904"; "!"; "."; ";"; "--" ]
+
+let prop_parse_never_raises =
+  QCheck2.Test.make ~name:"parse arbitrary bytes: Ok or Error" ~count:2000
+    ~print:(Printf.sprintf "%S") (gen_input query_fragments) (fun src ->
+      match Parser.parse src with Ok _ | Error _ -> true)
 
 (* -- predicates ----------------------------------------------------------------- *)
 
@@ -320,11 +357,14 @@ let () =
           Alcotest.test_case "update" `Quick test_parse_update;
           Alcotest.test_case "join" `Quick test_parse_join;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "integer out of range" `Quick
+            test_parse_int_out_of_range;
           Alcotest.test_case "script" `Quick test_parse_script;
           Alcotest.test_case "script error" `Quick
             test_parse_script_error_location;
         ] );
       ("round-trip", [ QCheck_alcotest.to_alcotest prop_pp_parse_roundtrip ]);
+      ("fuzz", [ QCheck_alcotest.to_alcotest prop_parse_never_raises ]);
       ( "predicates",
         [
           Alcotest.test_case "compile/eval" `Quick test_pred_compile;

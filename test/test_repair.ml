@@ -350,7 +350,7 @@ let test_run_batch_disjoint_speculates_clean () =
   let (_, seq_final) = Txn.run_queries db queries in
   Alcotest.(check bool) "final db" true (Oracle.db_equal r.Exec.final seq_final)
 
-(* -- Pipeline.run_repair ---------------------------------------------------- *)
+(* -- Pipeline.execute (Repair) --------------------------------------------- *)
 
 let spec_for ~seed =
   let rand = Random.State.make [| seed; 0x9a7 |] in
@@ -377,7 +377,12 @@ let test_pipeline_run_repair_differential () =
             let spec = spec_for ~seed in
             let tagged = gen_tagged ~seed (8 + (seed mod 20)) in
             let name = Printf.sprintf "batch %d seed %d" batch seed in
-            let rep = Pipeline.run_repair ~batch ~pool spec tagged in
+            let rep =
+              Pipeline.execute
+                (Repair { pool; batch; index = None })
+                (Pipeline.initial_database spec)
+                tagged
+            in
             let reference =
               Pipeline.reference ~semantics:Pipeline.Ordered_unique spec tagged
             in
@@ -389,25 +394,30 @@ let test_pipeline_run_repair_differential () =
                 if t1 <> t2 || not (Pipeline.response_equal r1 r2) then
                   Alcotest.failf "%s: response %d diverges: (%d) %a vs (%d) %a"
                     name i t1 Pipeline.pp_response r1 t2 Pipeline.pp_response r2)
-              (List.combine rep.Pipeline.rep_responses reference);
+              (List.combine (Pipeline.pipeline_responses rep) reference);
             List.iter2
               (fun (rel1, ts1) (rel2, ts2) ->
                 Alcotest.(check string) (name ^ ": relation order") rel1 rel2;
                 if not (List.equal Tuple.equal ts1 ts2) then
                   Alcotest.failf "%s: final contents of %s diverge" name rel1)
-              ideal.Pipeline.final_db rep.Pipeline.rep_final_db;
+              ideal.Pipeline.final_db
+              (Database.contents rep.Pipeline.final);
             Alcotest.(check int)
               (name ^ ": one version per query plus v0")
               (List.length tagged + 1)
-              rep.Pipeline.rep_versions
+              rep.Pipeline.versions
           done)
         [ 1; 4; 16 ])
 
 let test_pipeline_run_repair_validation () =
   Alcotest.check_raises "batch must be positive"
-    (Invalid_argument "Pipeline.run_repair: batch must be >= 1") (fun () ->
-      ignore
-        (Pipeline.run_repair ~batch:0 { Pipeline.schemas = []; initial = [] } []))
+    (Invalid_argument "Pipeline.execute: repair batch must be >= 1") (fun () ->
+      Pool.with_pool ~domains:1 (fun pool ->
+          ignore
+            (Pipeline.execute
+               (Repair { pool; batch = 0; index = None })
+               (Database.create [])
+               [])))
 
 (* -- the flagship differential sweep (Sim.run_repair) ----------------------- *)
 

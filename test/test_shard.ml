@@ -255,7 +255,12 @@ let test_one_shard_is_the_pipeline () =
     let tagged =
       List.init (8 + (seed mod 12)) (fun i -> (i mod 3, random_query rand i))
     in
-    let sh = Pipeline.run_sharded ~shards:1 spec tagged in
+    let (sh, metrics) =
+      Fdb_obs.Metrics.scoped (fun () ->
+          Pipeline.execute (Sharded { shards = 1 })
+            (Pipeline.initial_database spec)
+            tagged)
+    in
     let reference =
       Pipeline.reference ~semantics:Pipeline.Ordered_unique spec tagged
     in
@@ -274,10 +279,13 @@ let test_one_shard_is_the_pipeline () =
     Alcotest.(check string)
       (Printf.sprintf "seed %d: byte-identical to the unsharded pipeline" seed)
       (render reference ideal.Pipeline.final_db)
-      (render sh.Pipeline.sh_responses sh.Pipeline.sh_final_db);
-    Alcotest.(check int)
+      (render
+         (Pipeline.pipeline_responses sh)
+         (Database.contents sh.Pipeline.final));
+    Alcotest.(check (option int))
       (Printf.sprintf "seed %d: all commits local" seed)
-      sh.Pipeline.sh_stats.Shard.txns sh.Pipeline.sh_stats.Shard.local
+      (Some (List.length tagged))
+      (List.assoc_opt "shard.local_commits" metrics.Fdb_obs.Metrics.counters)
   done
 
 let test_pipeline_sharded_differential () =
@@ -295,7 +303,11 @@ let test_pipeline_sharded_differential () =
         let tagged =
           List.init 14 (fun i -> (i mod 3, random_query rand i))
         in
-        let sh = Pipeline.run_sharded ~shards spec tagged in
+        let sh =
+          Pipeline.execute (Sharded { shards })
+            (Pipeline.initial_database spec)
+            tagged
+        in
         let reference =
           Pipeline.reference ~semantics:Pipeline.Ordered_unique spec tagged
         in
@@ -304,12 +316,12 @@ let test_pipeline_sharded_differential () =
             if t1 <> t2 || not (Pipeline.response_equal r1 r2) then
               Alcotest.failf "shards %d seed %d: response %d diverges" shards
                 seed i)
-          (List.combine sh.Pipeline.sh_responses reference);
+          (List.combine (Pipeline.pipeline_responses sh) reference);
         Alcotest.(check bool)
           (Printf.sprintf "shards %d seed %d: versions bounded" shards seed)
           true
-          (sh.Pipeline.sh_versions >= 1
-          && sh.Pipeline.sh_versions <= List.length tagged + 1)
+          (sh.Pipeline.versions >= 1
+          && sh.Pipeline.versions <= List.length tagged + 1)
       done)
     [ 1; 2; 4; 8 ]
 

@@ -17,6 +17,7 @@ module Merge = Fdb_merge.Merge
 module Event = Fdb_obs.Event
 module Trace = Fdb_obs.Trace
 module Pipeline = Fdb.Pipeline
+module Pool = Fdb_par.Pool
 
 let q = Fdb_query.Parser.parse_exn
 
@@ -509,35 +510,48 @@ let test_sink_run_streams () =
   check_final_db "run_streams" report.Pipeline.final_db
     (History.latest r.Wal.rhistory)
 
+(* [execute] [tagged] from [initial_database spec_small] with a sink, the
+   executor built on a fresh 2-domain pool. *)
+let execute_logged ~wal executor =
+  let db0 = Pipeline.initial_database spec_small in
+  Pool.with_pool ~domains:2 (fun pool ->
+      Pipeline.execute ~wal (executor pool) db0 tagged)
+
 let test_sink_run_parallel () =
   let store = Wal.Mem.store (Wal.Mem.create ()) in
   let w = Wal.create ~store (Pipeline.initial_database spec_small) in
-  let report =
-    Pipeline.run_parallel ~semantics:Pipeline.Ordered_unique ~domains:2 ~wal:w
-      spec_small tagged
+  let o =
+    execute_logged ~wal:w (fun pool -> Pipeline.Parallel { pool; index = None })
   in
   let r = recover_clean store in
-  check_final_db "run_parallel" report.Pipeline.par_final_db
+  Alcotest.(check int) "one version per changing write plus the initial"
+    o.Pipeline.versions (1 + r.Wal.upto);
+  check_final_db "parallel" (Database.contents o.Pipeline.final)
     (History.latest r.Wal.rhistory)
 
 let test_sink_run_repair () =
   let store = Wal.Mem.store (Wal.Mem.create ()) in
   let w = Wal.create ~store (Pipeline.initial_database spec_small) in
-  let report = Pipeline.run_repair ~domains:2 ~batch:4 ~wal:w spec_small tagged in
+  let o =
+    execute_logged ~wal:w (fun pool ->
+        Pipeline.Repair { pool; batch = 4; index = None })
+  in
   let r = recover_clean store in
   Alcotest.(check int) "all appends durable" (Wal.appended w) r.Wal.upto;
-  check_final_db "run_repair" report.Pipeline.rep_final_db
+  Alcotest.(check int) "one version per query plus the initial"
+    o.Pipeline.versions (1 + r.Wal.upto);
+  check_final_db "repair" (Database.contents o.Pipeline.final)
     (History.latest r.Wal.rhistory)
 
 let test_sink_run_sharded () =
   let store = Wal.Mem.store (Wal.Mem.create ()) in
   let w = Wal.create ~store (Pipeline.initial_database spec_small) in
-  let report = Pipeline.run_sharded ~shards:2 ~wal:w spec_small tagged in
+  let o = execute_logged ~wal:w (fun _ -> Pipeline.Sharded { shards = 2 }) in
   let r = recover_clean store in
   Alcotest.(check int) "all appends durable" (Wal.appended w) r.Wal.upto;
   Alcotest.(check int) "one version per commit plus the initial"
-    report.Pipeline.sh_versions (1 + r.Wal.upto);
-  check_final_db "run_sharded" report.Pipeline.sh_final_db
+    o.Pipeline.versions (1 + r.Wal.upto);
+  check_final_db "sharded" (Database.contents o.Pipeline.final)
     (History.latest r.Wal.rhistory)
 
 (* The three logging modes agree: same inputs, same durable version chain. *)
@@ -557,8 +571,8 @@ let test_sink_modes_agree () =
   let b =
     log (fun w ->
         ignore
-          (Pipeline.run_parallel ~semantics:Pipeline.Ordered_unique ~wal:w
-             spec_small tagged))
+          (execute_logged ~wal:w (fun pool ->
+               Pipeline.Parallel { pool; index = None })))
   in
   Alcotest.(check int) "same version count" a.Wal.upto b.Wal.upto;
   for i = 0 to a.Wal.upto do
@@ -582,7 +596,7 @@ let test_sink_rejects_prepend () =
       (fun () -> ignore (Pipeline.run_streams ~wal:w spec_small []));
       (fun () ->
         ignore
-          (Pipeline.run_parallel ~semantics:Pipeline.Prepend ~domains:2 ~wal:w
+          (Pipeline.run_parallel ~semantics:Pipeline.Prepend ~domains:2
              spec_small []))
     ]
 
