@@ -82,5 +82,11 @@ expect_usage_error recover-disk --sweep 0
 expect_usage_error check --clients 0
 rm -f "$ERR"
 # Traffic smoke: the open-loop harness through every execution mode on two
-# layouts — final states must agree (the command exits 1 on divergence).
-"$FDBSIM" traffic -n 600 --tuples 2000 > /dev/null
+# layouts — final states must agree (the command exits 1 on divergence) —
+# and land the pinned digest: the seeded stream's final state may not move.
+TRAFFIC=$("$FDBSIM" traffic -n 600 --tuples 2000)
+echo "$TRAFFIC" | grep -q "^final digest 1502be3439f12d1d3c36eabe0a3471a2$" || {
+  echo "fdbsim traffic -n 600 --tuples 2000 left an unexpected final state:" >&2
+  echo "$TRAFFIC" >&2
+  exit 1
+}

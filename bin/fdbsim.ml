@@ -1430,8 +1430,10 @@ let traffic_cmd =
               Sharded { shards = 4 };
             ])
     in
-    if List.for_all (String.equal reference) (column :: batched) then
-      Format.printf "final states agree across modes and backends@."
+    if List.for_all (String.equal reference) (column :: batched) then begin
+      Format.printf "final states agree across modes and backends@.";
+      Format.printf "final digest %s@." reference
+    end
     else begin
       Format.printf "FAIL: final states diverge@.";
       exit 1

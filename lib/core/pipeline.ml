@@ -829,17 +829,21 @@ let run_batches ~pool ~batch ~index ~wal db0 tagged_queries =
         let r =
           Exec.run_batch ~pool ?index ~batch_id:bid db (List.map snd chunk)
         in
+        (* The batch history archives reads and no-op writes too; only a
+           version that is not its predecessor is a commit. *)
         let h = r.Exec.history in
-        Option.iter
-          (fun w ->
-            for i = 1 to History.length h - 1 do
-              Wal.append w (History.version h i)
-            done)
-          wal;
+        let changed = ref 0 in
+        for i = 1 to History.length h - 1 do
+          let v = History.version h i in
+          if v != History.version h (i - 1) then begin
+            Option.iter (fun w -> Wal.append w v) wal;
+            incr changed
+          end
+        done;
         let tags = List.map fst chunk in
         ( List.rev_append (List.combine tags r.Exec.responses) acc,
           r.Exec.final,
-          versions + (History.length h - 1),
+          versions + !changed,
           bid + 1 ))
       ([], db0, 1, 0)
       (Exec.chunks batch tagged_queries)

@@ -199,8 +199,7 @@ type outcome = {
   final : Database.t;  (** the version the last transaction left *)
   versions : int;
       (** the input version plus every version the run hands to [?wal]:
-          one per changing write (Parallel, Sharded), one per transaction
-          (Repair, whose batch histories archive reads too) *)
+          one per changing write, in every mode *)
 }
 
 val execute :

@@ -168,6 +168,17 @@ module Make (Elt : Ordered.S) = struct
     | Leaf -> 0
     | Node (l, _, r, _) -> 1 + size l + size r
 
+  let walk t rest = match t with Leaf -> rest | Node _ -> Walk.Node (t, rest)
+
+  let open_node t rest =
+    match t with
+    | Leaf -> rest
+    | Node (l, x, r, _) -> walk l (Walk.Item (x, walk r rest))
+
+  let diff ~equal ~removed ~added acc ~old t =
+    Walk.fold_diff ~open_:open_node ~compare:Elt.compare ~equal ~removed ~added
+      acc (walk old Walk.End) (walk t Walk.End)
+
   let shared_nodes ~old t =
     (* Collect the old version's physical nodes, then walk the new one.
        Subtree sharing lets us stop descending once a whole subtree is

@@ -63,6 +63,18 @@ module Make (Elt : Ordered.S) : sig
 
   val delete : ?meter:Meter.t -> Elt.t -> t -> t * bool
 
+  val diff :
+    equal:(Elt.t -> Elt.t -> bool) ->
+    removed:('a -> Elt.t -> 'a) ->
+    added:('a -> Elt.t -> 'a) ->
+    'a ->
+    old:t ->
+    t ->
+    'a
+  (** {!Walk.fold_diff} from [old] to the new version, opening nodes:
+      subtrees both versions share are skipped unopened, so a
+      one-element update costs O(log n). *)
+
   val shared_nodes : old:t -> t -> int * int
   (** [(shared, total)] physical-node sharing of the new version against the
       old one. *)

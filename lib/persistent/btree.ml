@@ -462,6 +462,28 @@ module Make (Elt : Ordered.S) = struct
     in
     { t with root = build 0 n (root_cap (b - 1)) }
 
+  let open_page page rest =
+    match page with
+    | Leaf keys ->
+        let r = ref rest in
+        for i = Array.length keys - 1 downto 0 do
+          r := Walk.Item (keys.(i), !r)
+        done;
+        !r
+    | Dir (children, keys) ->
+        let nk = Array.length keys in
+        let r = ref (Walk.Node (children.(nk), rest)) in
+        for i = nk - 1 downto 0 do
+          r := Walk.Node (children.(i), Walk.Item (keys.(i), !r))
+        done;
+        !r
+
+  let diff ~equal ~removed ~added acc ~old t =
+    Walk.fold_diff ~open_:open_page ~compare:Elt.compare ~equal ~removed ~added
+      acc
+      (Walk.Node (old.root, Walk.End))
+      (Walk.Node (t.root, Walk.End))
+
   let shared_pages ~old t =
     let module H = Hashtbl.Make (struct
       type t = node

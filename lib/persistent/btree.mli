@@ -81,6 +81,18 @@ module Make (Elt : Ordered.S) : sig
 
   val delete : ?meter:Meter.t -> Elt.t -> t -> t * bool
 
+  val diff :
+    equal:(Elt.t -> Elt.t -> bool) ->
+    removed:('a -> Elt.t -> 'a) ->
+    added:('a -> Elt.t -> 'a) ->
+    'a ->
+    old:t ->
+    t ->
+    'a
+  (** {!Walk.fold_diff} from [old] to the new version, opening pages:
+      pages both versions share are skipped unopened, so a
+      one-element update costs O(height * branching). *)
+
   val shared_pages : old:t -> t -> int * int
   (** [(shared, total)] over the new version's pages. *)
 

@@ -322,6 +322,21 @@ module Make (Row : Row) = struct
       in
       { cap; size = n; chunks }
 
+  let open_chunk c rest =
+    let r = ref rest in
+    for i = c.len - 1 downto 0 do
+      r := Walk.Item (row_of c i, !r)
+    done;
+    !r
+
+  let spine t =
+    Array.fold_right (fun c rest -> Walk.Node (c, rest)) t.chunks Walk.End
+
+  let diff ~equal ~removed ~added acc ~old t =
+    Walk.fold_diff ~open_:open_chunk
+      ~compare:(fun x y -> Row.compare_field (key_of x) (key_of y))
+      ~equal ~removed ~added acc (spine old) (spine t)
+
   let shared_chunks ~old t =
     (* both spines are sorted by first key with globally unique keys, so a
        merge walk aligns candidate chunks in O(n + m) *)

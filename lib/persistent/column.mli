@@ -94,6 +94,19 @@ module Make (Row : Row) : sig
 
   val delete : ?meter:Meter.t -> Row.t -> t -> t * bool
 
+  val diff :
+    equal:(Row.t -> Row.t -> bool) ->
+    removed:('a -> Row.t -> 'a) ->
+    added:('a -> Row.t -> 'a) ->
+    'a ->
+    old:t ->
+    t ->
+    'a
+  (** {!Walk.fold_diff} from [old] to the new version, opening chunks:
+      chunks both versions share are skipped unopened, so a
+      one-row update costs the spine plus O(chunk).  Rows are compared by
+      field 0. *)
+
   val shared_chunks : old:t -> t -> int * int
   (** [(shared, total)] over the new version's chunks — physical identity,
       measured by a merge walk over the two sorted spines. *)

@@ -140,6 +140,15 @@ module Make (Elt : Ordered.S) = struct
     in
     go t
 
+  let walk t rest = match t with Nil -> rest | Cons _ -> Walk.Node (t, rest)
+
+  let open_cell t rest =
+    match t with Nil -> rest | Cons (x, r) -> Walk.Item (x, walk r rest)
+
+  let diff ~equal ~removed ~added acc ~old t =
+    Walk.fold_diff ~open_:open_cell ~compare:Elt.compare ~equal ~removed ~added
+      acc (walk old Walk.End) (walk t Walk.End)
+
   let shared_cells ~old t =
     (* Walk the new spine and test physical membership of each Cons cell in
        the old spine ([Nil] is an immediate value, not a cell).  Suffix

@@ -69,6 +69,18 @@ module Make (Elt : Ordered.S) : sig
   val delete : ?meter:Meter.t -> Elt.t -> t -> t * bool
   (** Remove the first element equal to the argument. *)
 
+  val diff :
+    equal:(Elt.t -> Elt.t -> bool) ->
+    removed:('a -> Elt.t -> 'a) ->
+    added:('a -> Elt.t -> 'a) ->
+    'a ->
+    old:t ->
+    t ->
+    'a
+  (** {!Walk.fold_diff} from [old] to the new version, opening cells:
+      the shared tail is skipped unopened, so an update costs
+      the copied prefix. *)
+
   val shared_cells : old:t -> t -> int * int
   (** [(shared, total)]: of the new version's [total] cells, how many are
       physically shared with the old version. *)

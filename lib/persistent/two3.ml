@@ -313,6 +313,19 @@ module Make (Elt : Ordered.S) = struct
     | N2 (l, _, r) -> 1 + node_count l + node_count r
     | N3 (l, _, m, _, r) -> 1 + node_count l + node_count m + node_count r
 
+  let walk t rest = match t with Leaf -> rest | _ -> Walk.Node (t, rest)
+
+  let open_node t rest =
+    match t with
+    | Leaf -> rest
+    | N2 (l, a, r) -> walk l (Walk.Item (a, walk r rest))
+    | N3 (l, a, m, b, r) ->
+        walk l (Walk.Item (a, walk m (Walk.Item (b, walk r rest))))
+
+  let diff ~equal ~removed ~added acc ~old t =
+    Walk.fold_diff ~open_:open_node ~compare:Elt.compare ~equal ~removed ~added
+      acc (walk old Walk.End) (walk t Walk.End)
+
   let shared_nodes ~old t =
     let module H = Hashtbl.Make (struct
       type nonrec t = t

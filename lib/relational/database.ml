@@ -1,30 +1,61 @@
-type t = { rels : (string * Relation.t) list }
+module Slot_table = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+(* The catalog is built once by [create] and shared by every version
+   derived from it: the relation names in schema order and a name -> slot
+   table that is never written after construction, so versions on other
+   domains read it freely. *)
+type catalog = {
+  names : string array;
+  name_list : string list;
+  index : int Slot_table.t;
+}
+
+(* A version is the catalog plus one relation per slot, in schema order.
+   [replace] copies the slot array and nothing else. *)
+type t = { cat : catalog; rels : Relation.t array }
 
 let create ?backend schemas =
-  let names = List.map Schema.name schemas in
-  if List.length (List.sort_uniq String.compare names) <> List.length names
-  then invalid_arg "Database.create: duplicate relation names";
-  { rels = List.map (fun s -> (Schema.name s, Relation.create ?backend s)) schemas }
+  let name_list = List.map Schema.name schemas in
+  let index = Slot_table.create (2 * List.length schemas) in
+  List.iteri
+    (fun i name ->
+      if Slot_table.mem index name then
+        invalid_arg "Database.create: duplicate relation names";
+      Slot_table.add index name i)
+    name_list;
+  {
+    cat = { names = Array.of_list name_list; name_list; index };
+    rels = Array.of_list (List.map (Relation.create ?backend) schemas);
+  }
 
-let names db = List.map fst db.rels
+let names db = db.cat.name_list
 
-let slots db = db.rels
+let slots db =
+  List.init (Array.length db.rels) (fun i -> (db.cat.names.(i), db.rels.(i)))
 
-let contents db = List.map (fun (name, r) -> (name, Relation.to_list r)) db.rels
+let contents db =
+  List.init (Array.length db.rels) (fun i ->
+      (db.cat.names.(i), Relation.to_list db.rels.(i)))
 
-let relation db name = List.assoc_opt name db.rels
+let relation db name =
+  match Slot_table.find_opt db.cat.index name with
+  | Some i -> Some db.rels.(i)
+  | None -> None
 
 let schema_of db name = Option.map Relation.schema (relation db name)
 
 let replace db name rel =
-  if not (List.mem_assoc name db.rels) then
-    invalid_arg ("Database.replace: unknown relation " ^ name);
-  let rec go = function
-    | [] -> []
-    | ((n, _) as slot) :: rest ->
-        if String.equal n name then (n, rel) :: rest else slot :: go rest
-  in
-  { rels = go db.rels }
+  match Slot_table.find_opt db.cat.index name with
+  | None -> invalid_arg ("Database.replace: unknown relation " ^ name)
+  | Some i ->
+      let rels = Array.copy db.rels in
+      rels.(i) <- rel;
+      { db with rels }
 
 let with_rel db name f =
   match relation db name with
@@ -46,7 +77,7 @@ let delete db ~rel ~key =
 let find db ~rel ~key = with_rel db rel (fun r -> Ok (Relation.find_key r key))
 
 let total_tuples db =
-  List.fold_left (fun acc (_, r) -> acc + Relation.size r) 0 db.rels
+  Array.fold_left (fun acc r -> acc + Relation.size r) 0 db.rels
 
 let load db ~rel tuples =
   List.fold_left
@@ -57,39 +88,49 @@ let load db ~rel tuples =
     (Ok db) tuples
 
 let of_tuples ?backend schemas initial =
-  let rec go db = function
-    | [] -> Ok db
+  let db = create ?backend schemas in
+  let rels = Array.copy db.rels in
+  let rec go i = function
+    | [] -> Ok { db with rels }
     | schema :: rest -> (
-        let name = Schema.name schema in
-        match List.assoc_opt name initial with
-        | None -> go db rest
+        match List.assoc_opt (Schema.name schema) initial with
+        | None -> go (i + 1) rest
         | Some tuples -> (
             match Relation.of_tuples ?backend schema tuples with
-            | Ok rel -> go (replace db name rel) rest
+            | Ok rel ->
+                rels.(i) <- rel;
+                go (i + 1) rest
             | Error _ as e -> e))
   in
-  go (create ?backend schemas) schemas
+  go 0 schemas
 
 let shares_relation ~old db name =
   match (relation old name, relation db name) with
   | (Some a, Some b) -> a == b
   | _ -> false
 
+(* Versions of one [create] share its catalog, so only versions built by
+   separate [create] calls (a decoded checkpoint against the live writer,
+   say) compare their names. *)
+let same_relations a b =
+  a.cat == b.cat
+  || Array.length a.cat.names = Array.length b.cat.names
+     && Array.for_all2 String.equal a.cat.names b.cat.names
+
 let changed_slots ~old db =
-  let mismatch () = invalid_arg "Database.changed_slots: relation sets differ" in
-  let rec go i acc a b =
-    match (a, b) with
-    | ([], []) -> List.rev acc
-    | ((n, ra) :: a', (m, rb) :: b') ->
-        if not (String.equal n m) then mismatch ();
-        go (i + 1) (if ra == rb then acc else (i, n, ra, rb) :: acc) a' b'
-    | _ -> mismatch ()
-  in
-  if old == db then [] else go 0 [] old.rels db.rels
+  if old == db then []
+  else begin
+    if not (same_relations old db) then
+      invalid_arg "Database.changed_slots: relation sets differ";
+    let acc = ref [] in
+    for i = Array.length db.rels - 1 downto 0 do
+      let ra = old.rels.(i) and rb = db.rels.(i) in
+      if ra != rb then acc := (i, db.cat.names.(i), ra, rb) :: !acc
+    done;
+    !acc
+  end
 
 let pp ppf db =
   Format.fprintf ppf "@[<v>%a@]"
-    (Format.pp_print_list
-       ~pp_sep:Format.pp_print_cut
-       (fun ppf (_, r) -> Relation.pp ppf r))
-    db.rels
+    (Format.pp_print_list ~pp_sep:Format.pp_print_cut Relation.pp)
+    (Array.to_list db.rels)

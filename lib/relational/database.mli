@@ -1,7 +1,12 @@
 (** The versioned database: an immutable mapping from relation names to
     relations (paper §2.1).  Every update produces a new version that shares
     all untouched relations with its predecessor — the "selective object
-    copying" the concurrency story depends on. *)
+    copying" the concurrency story depends on.
+
+    A version is an array of relation slots in schema order plus a catalog
+    (the names and a name -> slot table) that {!create} builds once and
+    every later version shares: looking a relation up by name is one hash
+    probe, and {!replace} copies only the R-word slot array. *)
 
 type t
 
@@ -19,11 +24,13 @@ val contents : t -> (string * Tuple.t list) list
     order. *)
 
 val relation : t -> string -> Relation.t option
+(** O(1): one probe of the shared catalog. *)
 
 val schema_of : t -> string -> Schema.t option
 
 val replace : t -> string -> Relation.t -> t
 (** New version with one slot replaced; all other slots physically shared.
+    Copies the slot array (one word per relation) and nothing else.
     @raise Invalid_argument when the name is unknown. *)
 
 val insert : t -> rel:string -> Tuple.t -> (t * bool, string) result
@@ -57,7 +64,9 @@ val changed_slots :
   old:t -> t -> (int * string * Relation.t * Relation.t) list
 (** [(slot, name, old relation, new relation)] for every slot not
     physically shared between the two versions, in slot order: one
-    pairwise walk, O(R) in the number of relations.
+    pointer walk over the two slot arrays, O(R) in the number of relations.
+    Versions descended from one {!create} share its catalog and skip the
+    name check; versions from separate {!create} calls compare names.
     @raise Invalid_argument when the versions' relation sets differ. *)
 
 val pp : Format.formatter -> t -> unit

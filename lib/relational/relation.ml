@@ -258,26 +258,23 @@ let same_value a b =
 let same_tuple a b =
   Tuple.arity a = Tuple.arity b && Array.for_all2 same_value a b
 
-(* One sorted merge over both versions, whatever the backend: the key walk
-   costs O(n), and the per-tuple [==] test settles every tuple an update
-   path-copied around without comparing its values. *)
+(* Each backend's walk opens only the pages, nodes, cells or chunks the
+   two versions do not share, so the cost follows the update's rebuilt
+   path rather than the relation's size; the per-tuple [==] test settles
+   every tuple a path copy carried over without comparing its values. *)
 let diff ~old r =
-  let change tup = (Tuple.key tup, Some tup) and gone tup = (Tuple.key tup, None) in
-  let rec go acc xs ys =
-    match (xs, ys) with
-    | ([], []) -> List.rev acc
-    | (x :: xs', []) -> go (gone x :: acc) xs' []
-    | ([], y :: ys') -> go (change y :: acc) [] ys'
-    | (x :: xs', y :: ys') ->
-        if x == y then go acc xs' ys'
-        else
-          let c = Tuple.compare_key x y in
-          if c < 0 then go (gone x :: acc) xs' ys
-          else if c > 0 then go (change y :: acc) xs ys'
-          else if same_tuple x y then go acc xs' ys'
-          else go (change y :: acc) xs' ys'
-  in
-  if old == r then [] else go [] (to_list old) (to_list r)
+  let removed acc tup = (Tuple.key tup, None) :: acc
+  and added acc tup = (Tuple.key tup, Some tup) :: acc in
+  let run diff o n = List.rev (diff ~equal:same_tuple ~removed ~added [] ~old:o n) in
+  if old == r then []
+  else
+    match (old.repr, r.repr) with
+    | (L o, L n) -> run PL.diff o n
+    | (A o, A n) -> run AV.diff o n
+    | (T o, T n) -> run T23.diff o n
+    | (B o, B n) -> run BT.diff o n
+    | (C o, C n) -> run CO.diff o n
+    | _ -> invalid_arg "Relation.diff: backend mismatch"
 
 let apply_diff r changes =
   let step acc (key, change) =

@@ -103,8 +103,13 @@ val diff : old:t -> t -> (Value.t * Tuple.t option) list
 (** The key-level changes that turn [old] into the new version, ascending
     by key: [(k, Some tup)] for a tuple inserted or rewritten, [(k, None)]
     for a deleted key.  Tuples equal in every value (bit-exact for reals)
-    are not changes, so identical versions diff to [[]].  One sorted merge
-    over both versions, backend-agnostic: O(size old + size new). *)
+    are not changes, so identical versions diff to [[]].  One merge over
+    lazy in-order walks of both versions ({!Fdb_persistent.Walk}) that
+    steps over every subtree (page, node, list tail or chunk) the two share
+    physically: a one-tuple update on a B-tree costs its rebuilt path,
+    O(branching * height), not O(size).  Versions without shared structure
+    cost O(size old + size new).  Both must use the same backend.
+    @raise Invalid_argument otherwise. *)
 
 val apply_diff :
   t -> (Value.t * Tuple.t option) list -> (t, string) result

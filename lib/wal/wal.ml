@@ -158,25 +158,26 @@ type writer = {
   store : Store.t;
   sync_every : int;
   checkpoint_every : int;
-  mutable history : History.t;  (* versions [first..appended], shadow *)
-  mutable first : int;
+  mutable latest : Fdb_relational.Database.t;  (* version [appended] only *)
+  mutable appended : int;
   mutable durable : int;
   mutable seg : int;
   mutable unsynced : int;  (* appends since the last sync *)
   mutable since_ckpt : int;
+  mutable ckpt_bytes : int;  (* length of the last checkpoint frame *)
 }
 
-let appended w = w.first + History.length w.history - 1
+let appended w = w.appended
 let durable w = w.durable
 let segment w = w.seg
-let history w = w.history
-let latest w = History.latest w.history
+let latest w = w.latest
 
 (* Write and sync a checkpoint frame as the head of segment [seg]: the
-   covered version index, then a one-version archive of that database. *)
-let write_checkpoint store ~seg ~upto db =
+   covered version index, then a one-version archive of that database.
+   [size] is the expected payload length (the previous checkpoint's). *)
+let write_checkpoint ?size store ~seg ~upto db =
   let fr =
-    Wire.frame_with ~kind:Wire.Checkpoint (fun b ->
+    Wire.frame_with ?size ~kind:Wire.Checkpoint (fun b ->
         Wire.write_int b upto;
         Wire.write_archive b (History.create db))
   in
@@ -184,7 +185,8 @@ let write_checkpoint store ~seg ~upto db =
   store.Store.sync (seg_name seg);
   emit (Event.Wal_checkpoint { upto; bytes = String.length fr; segment = seg });
   Metrics.incr m_ckpts;
-  Metrics.observe h_frame_bytes (String.length fr)
+  Metrics.observe h_frame_bytes (String.length fr);
+  String.length fr
 
 (* Old segments go only after the new checkpoint is down and synced. *)
 let delete_older store ~than =
@@ -211,7 +213,11 @@ let checkpoint w =
   sync w;
   let upto = appended w in
   let seg = w.seg + 1 in
-  write_checkpoint w.store ~seg ~upto (latest w);
+  (* Sized from the last checkpoint plus an eighth for the state's growth
+     since, so a megabyte buffer does not regrow; a state that outgrew
+     even that only costs a doubling. *)
+  let size = w.ckpt_bytes + (w.ckpt_bytes / 8) in
+  w.ckpt_bytes <- write_checkpoint ~size w.store ~seg ~upto w.latest;
   w.seg <- seg;
   w.since_ckpt <- 0;
   delete_older w.store ~than:seg
@@ -219,33 +225,35 @@ let checkpoint w =
 let make ?(sync_every = 1) ?(checkpoint_every = 0) ~store ~first ~seg db =
   if sync_every < 0 then invalid_arg "Wal.create: sync_every < 0";
   if checkpoint_every < 0 then invalid_arg "Wal.create: checkpoint_every < 0";
-  write_checkpoint store ~seg ~upto:first db;
+  let ckpt_bytes = write_checkpoint store ~seg ~upto:first db in
   delete_older store ~than:seg;
   {
     store;
     sync_every;
     checkpoint_every;
-    history = History.create db;
-    first;
+    latest = db;
+    appended = first;
     durable = first;
     seg;
     unsynced = 0;
     since_ckpt = 0;
+    ckpt_bytes;
   }
 
 let create ?sync_every ?checkpoint_every ~store db =
   make ?sync_every ?checkpoint_every ~store ~first:0 ~seg:0 db
 
 let append w db =
-  let prev = latest w in
-  let idx = appended w + 1 in
+  let prev = w.latest in
+  let idx = w.appended + 1 in
   let fr =
     Wire.frame_with ~kind:Wire.Delta (fun b ->
         Wire.write_int b idx;
         Buffer.add_string b (Wire.encode_version ~prev db))
   in
   w.store.Store.append (seg_name w.seg) fr;
-  w.history <- History.append w.history db;
+  w.latest <- db;
+  w.appended <- idx;
   w.unsynced <- w.unsynced + 1;
   w.since_ckpt <- w.since_ckpt + 1;
   Metrics.incr m_appends;

@@ -118,11 +118,10 @@ val checkpoint : writer -> unit
 (** Force a compact checkpoint now (see the fsync discipline above). *)
 
 val latest : writer -> Database.t
-(** The newest appended version (the shadow of the log tail). *)
-
-val history : writer -> Fdb_txn.History.t
-(** The shadow archive of every version appended through this writer
-    (including its initial version). *)
+(** The newest appended version: the base the next {!append} diffs
+    against and the state a {!checkpoint} writes.  The writer holds no
+    older version, so each one it has logged is garbage once the caller
+    drops it (the log, not the writer, is the archive). *)
 
 val appended : writer -> int
 (** Newest version index written to the log (0 = just the initial

@@ -495,8 +495,8 @@ let frame ~kind payload =
   Bytes.blit_string payload 0 b frame_overhead len;
   seal ~kind b
 
-let frame_with ~kind write =
-  let b = Buffer.create 256 in
+let frame_with ?(size = 256) ~kind write =
+  let b = Buffer.create (frame_overhead + size) in
   Buffer.add_string b (String.make frame_overhead '\000');
   write b;
   seal ~kind (Buffer.to_bytes b)

@@ -45,10 +45,13 @@ type kind = Checkpoint | Delta
 val frame : kind:kind -> string -> string
 (** Wrap a payload in a framed record as diagrammed above. *)
 
-val frame_with : kind:kind -> (Buffer.t -> unit) -> string
+val frame_with : ?size:int -> kind:kind -> (Buffer.t -> unit) -> string
 (** [frame_with ~kind write] is [frame ~kind payload] for the [payload]
     that [write] appends to the buffer it is given, built without an
-    intermediate payload string (a checkpoint is megabytes). *)
+    intermediate payload string (a checkpoint is megabytes).  [size]
+    (default 256) is the expected payload length: a buffer that starts
+    large enough never regrows, which for a megabyte payload spares the
+    copies and the major-heap garbage of every doubling. *)
 
 val frame_overhead : int
 (** Header bytes per frame (10). *)

@@ -373,6 +373,117 @@ let test_diff_cases () =
         [ "1+" ])
     backends
 
+(* The list merge [Relation.diff] used before it learned to skip shared
+   subtrees, kept here as its oracle: both versions listed in full and
+   merged by key, bit-exact on values. *)
+let merge_diff ~old r =
+  let exact x y = Tuple.arity x = Tuple.arity y && Array.for_all2 exact_value x y in
+  let change tup = (Tuple.key tup, Some tup) and gone tup = (Tuple.key tup, None) in
+  let rec go acc xs ys =
+    match (xs, ys) with
+    | ([], []) -> List.rev acc
+    | (x :: xs', []) -> go (gone x :: acc) xs' []
+    | ([], y :: ys') -> go (change y :: acc) [] ys'
+    | (x :: xs', y :: ys') ->
+        let c = Tuple.compare_key x y in
+        if c < 0 then go (gone x :: acc) xs' ys
+        else if c > 0 then go (change y :: acc) xs ys'
+        else if exact x y then go acc xs' ys'
+        else go (change y :: acc) xs' ys'
+  in
+  go [] (Relation.to_list old) (Relation.to_list r)
+
+let same_diff a b =
+  List.equal
+    (fun (k, x) (k', y) ->
+      exact_value k k'
+      && Option.equal (fun x y -> exact_tuples [ x ] [ y ]) x y)
+    a b
+
+(* The structural diff against the oracle, on every backend and B-tree
+   branchings 3, 4 and 8, over version pairs one step apart, any number of
+   steps apart in either direction, unrelated relations, and equal contents
+   in different shapes (a bottom-up bulk load against an insert fold in
+   reverse key order), which must diff to nothing. *)
+let diff_backends =
+  [ Relation.List_backend; Relation.Avl_backend; Relation.Two3_backend;
+    Relation.Btree_backend 3; Relation.Btree_backend 4;
+    Relation.Btree_backend 8; Relation.Column_backend 4 ]
+
+let gen_diff_oracle_case =
+  QCheck2.Gen.(
+    triple
+      (list_size (int_range 0 60) (pair gen_diff_key gen_diff_row))
+      (list_size (int_range 0 12)
+         (oneof
+            [ map2 (fun k row -> Put (k, row)) gen_diff_key gen_diff_row;
+              map (fun k -> Del k) gen_diff_key;
+              map2 (fun k row -> Set (k, row)) gen_diff_key gen_diff_row ]))
+      (list_size (int_range 0 40) (pair gen_diff_key gen_diff_row)))
+
+let prop_diff_matches_oracle =
+  QCheck2.Test.make ~name:"structural diff == list-merge oracle, all backends"
+    ~count:150 gen_diff_oracle_case (fun (rows, ops, other) ->
+      List.for_all
+        (fun backend ->
+          let agrees ~old r = same_diff (Relation.diff ~old r) (merge_diff ~old r) in
+          let base = diff_rel backend rows in
+          let versions =
+            Array.of_list
+              (base
+              :: snd
+                   (List.fold_left_map
+                      (fun r op ->
+                        let r' = apply_op r op in
+                        (r', r'))
+                      base ops))
+          in
+          let n = Array.length versions in
+          let pairs_agree = ref true in
+          for i = 0 to n - 1 do
+            for j = 0 to n - 1 do
+              if not (agrees ~old:versions.(i) versions.(j)) then
+                pairs_agree := false
+            done
+          done;
+          let unrelated = diff_rel backend other in
+          let folded =
+            List.fold_left
+              (fun r tup ->
+                match Relation.insert r tup with
+                | Ok (r, _) -> r
+                | Error e -> failwith e)
+              (Relation.create ~backend diff_schema)
+              (List.rev (Relation.to_list base))
+          in
+          !pairs_agree
+          && agrees ~old:base unrelated
+          && agrees ~old:unrelated base
+          && Relation.diff ~old:base folded = []
+          && Relation.diff ~old:folded base = [])
+        diff_backends)
+
+(* On a B-tree the walk opens only the pages an update rebuilt: a
+   one-tuple change in a 4000-tuple relation reports exactly that tuple. *)
+let test_diff_one_step_large () =
+  List.iter
+    (fun backend ->
+      let rows = List.init 4000 (fun k -> (k, (k, "v", 0.5))) in
+      let base = diff_rel backend rows in
+      let name = Relation.backend_name backend in
+      List.iter
+        (fun (what, op, expected) ->
+          let r = apply_op base op in
+          Alcotest.(check bool) (name ^ " " ^ what ^ " matches oracle") true
+            (same_diff (Relation.diff ~old:base r) (merge_diff ~old:base r));
+          Alcotest.(check int) (name ^ " " ^ what ^ " size") expected
+            (List.length (Relation.diff ~old:base r)))
+        [ ("insert", Put (5000, (1, "n", 0.0)), 1);
+          ("delete", Del 1234, 1);
+          ("rewrite", Set (3999, (2, "w", -0.0)), 1);
+          ("no-op rewrite", Set (7, (7, "v", 0.5)), 0) ])
+    diff_backends
+
 (* -- bulk loading ------------------------------------------------------------ *)
 
 (* The specification [Relation.of_tuples] must meet: a sequential insert
@@ -636,6 +747,60 @@ let test_database_changed_slots () =
     (Invalid_argument "Database.changed_slots: relation sets differ") (fun () ->
       ignore (Database.changed_slots ~old:db0 (Database.create two_schemas)))
 
+(* The slot array keeps schema order whatever the names, [replace] copies
+   the slot array and shares every other relation, and versions from two
+   separate [create] calls still compare slot by slot. *)
+let test_database_slots () =
+  let mk name = Schema.make ~name ~cols:[ ("key", Schema.CInt); ("val", Schema.CStr) ] in
+  let schemas = [ mk "Z"; mk "A"; mk "M" ] in
+  let db = Database.create ~backend:(Relation.Btree_backend 4) schemas in
+  Alcotest.(check (list string)) "names in schema order" [ "Z"; "A"; "M" ]
+    (Database.names db);
+  Alcotest.(check (list string)) "slots in schema order" [ "Z"; "A"; "M" ]
+    (List.map fst (Database.slots db));
+  Alcotest.(check (list string)) "contents in schema order" [ "Z"; "A"; "M" ]
+    (List.map fst (Database.contents db));
+  let rel name = Option.get (Database.relation db name) in
+  let a' =
+    match Relation.insert (rel "A") (tup 1 "a") with
+    | Ok (r, _) -> r
+    | Error e -> Alcotest.fail e
+  in
+  let db' = Database.replace db "A" a' in
+  Alcotest.(check bool) "replaced slot" true
+    (Option.get (Database.relation db' "A") == a');
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " shared") true
+        (Option.get (Database.relation db' name) == rel name))
+    [ "Z"; "M" ];
+  Alcotest.(check (list (pair int string))) "one changed slot" [ (1, "A") ]
+    (List.map (fun (i, n, _, _) -> (i, n)) (Database.changed_slots ~old:db db'));
+  Alcotest.(check int) "old version untouched" 0 (Relation.size (rel "A"));
+  Alcotest.check_raises "unknown name"
+    (Invalid_argument "Database.replace: unknown relation Q") (fun () ->
+      ignore (Database.replace db "Q" a'));
+  Alcotest.(check bool) "unknown lookup" true (Database.relation db "Q" = None);
+  (* A second [create] has its own catalog and its own empty relations:
+     adopt all but one of the first's and only that one differs. *)
+  let other = Database.create ~backend:(Relation.Btree_backend 4) schemas in
+  let other =
+    List.fold_left
+      (fun o name -> Database.replace o name (rel name))
+      other [ "Z"; "M" ]
+  in
+  Alcotest.(check (list (pair int string))) "across create calls" [ (1, "A") ]
+    (List.map (fun (i, n, _, _) -> (i, n)) (Database.changed_slots ~old:db other));
+  Alcotest.(check (list (pair int string))) "adopted version" []
+    (List.map
+       (fun (i, n, _, _) -> (i, n))
+       (Database.changed_slots ~old:db (Database.replace other "A" (rel "A"))));
+  Alcotest.check_raises "reordered names"
+    (Invalid_argument "Database.changed_slots: relation sets differ") (fun () ->
+      ignore
+        (Database.changed_slots ~old:db
+           (Database.create [ mk "A"; mk "Z"; mk "M" ])))
+
 let () =
   Alcotest.run "relational"
     [
@@ -681,10 +846,14 @@ let () =
           Alcotest.test_case "errors" `Quick test_database_errors;
           Alcotest.test_case "load and find" `Quick test_database_load_and_find;
           Alcotest.test_case "changed_slots" `Quick test_database_changed_slots;
+          Alcotest.test_case "slot array" `Quick test_database_slots;
         ] );
       ( "diff",
         [
           Alcotest.test_case "cases all backends" `Quick test_diff_cases;
           QCheck_alcotest.to_alcotest prop_diff_replays;
+          QCheck_alcotest.to_alcotest prop_diff_matches_oracle;
+          Alcotest.test_case "one step in a large relation" `Quick
+            test_diff_one_step_large;
         ] );
     ]

@@ -441,6 +441,83 @@ let test_disk_fault_names_roundtrip () =
     Sim.all_disk_faults;
   Alcotest.(check bool) "unknown" true (Sim.disk_fault_of_name "nope" = None)
 
+(* -- commit-path guards ---------------------------------------------------------- *)
+
+(* The writer holds only its newest version: every version appended before
+   it is garbage once the caller lets go.  The versions are built and
+   appended in a function of their own, so nothing but the weak table and
+   the writer can reach them afterwards. *)
+let test_writer_keeps_newest_only () =
+  let n = 12 in
+  let seen = Weak.create n in
+  let log () =
+    let vs = chain ~seed:5 in
+    let count = min n (Array.length vs) in
+    let w = Wal.create ~store:(Wal.Mem.store (Wal.Mem.create ())) vs.(0) in
+    Weak.set seen 0 (Some vs.(0));
+    for i = 1 to count - 1 do
+      Wal.append w vs.(i);
+      Weak.set seen i (Some vs.(i))
+    done;
+    (w, count)
+  in
+  let (w, count) = log () in
+  Alcotest.(check bool) "enough versions" true (count >= 4);
+  Gc.full_major ();
+  for i = 0 to count - 2 do
+    Alcotest.(check bool)
+      (Printf.sprintf "version %d unreachable" i)
+      true
+      (Option.is_none (Weak.get seen i))
+  done;
+  Alcotest.(check bool) "newest still held" true
+    (match Weak.get seen (count - 1) with
+    | Some db -> db == Wal.latest w
+    | None -> false)
+
+(* A one-tuple commit on 256 relations of 1000 tuples (B-tree, branching
+   8) is logged for a cost sized by the change: the slot walk, the diff
+   over the rebuilt pages and a few dozen bytes of frame stay well under
+   2000 minor words (a walk of every slot's name or a listing of the
+   changed relation would each pass it). *)
+let test_append_allocation () =
+  let row k s = Tuple.make [ Value.Int k; Value.Str s ] in
+  let schema i =
+    Schema.make ~name:(Printf.sprintf "R%d" i)
+      ~cols:[ ("key", Schema.CInt); ("val", Schema.CStr) ]
+  in
+  let schemas = List.init 256 schema in
+  let initial =
+    List.init 256 (fun i ->
+        ( Printf.sprintf "R%d" i,
+          List.init 1000 (fun k -> row (2 * k) (Printf.sprintf "v%d" k)) ))
+  in
+  let db =
+    match
+      Database.of_tuples ~backend:(Relation.Btree_backend 8) schemas initial
+    with
+    | Ok db -> db
+    | Error e -> Alcotest.fail e
+  in
+  let w =
+    Wal.create ~sync_every:0 ~store:(Wal.Mem.store (Wal.Mem.create ())) db
+  in
+  let commit db k =
+    match Database.insert db ~rel:"R200" (row k "new") with
+    | Ok (db', true) -> db'
+    | _ -> Alcotest.fail "insert"
+  in
+  let db1 = commit db 1001 in
+  Wal.append w db1;
+  let db2 = commit db1 777 in
+  let before = Gc.minor_words () in
+  Wal.append w db2;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words < 2000" words)
+    true (words < 2000.);
+  Alcotest.(check int) "appended" 2 (Wal.appended w)
+
 (* -- the Pipeline durability sink ------------------------------------------- *)
 
 let schemas =
@@ -538,7 +615,7 @@ let test_sink_run_repair () =
   in
   let r = recover_clean store in
   Alcotest.(check int) "all appends durable" (Wal.appended w) r.Wal.upto;
-  Alcotest.(check int) "one version per query plus the initial"
+  Alcotest.(check int) "one version per changing write plus the initial"
     o.Pipeline.versions (1 + r.Wal.upto);
   check_final_db "repair" (Database.contents o.Pipeline.final)
     (History.latest r.Wal.rhistory)
@@ -583,6 +660,34 @@ let test_sink_modes_agree () =
          (History.version a.Wal.rhistory i)
          (History.version b.Wal.rhistory i))
   done
+
+(* Every batched arm logs one version per changing write, so one stream
+   leaves logs of one length, ending in one state, whatever the arm. *)
+let test_sink_arms_agree () =
+  let digest db =
+    Digest.to_hex
+      (Digest.string
+         (String.concat "\n"
+            (List.map
+               (fun (name, tuples) ->
+                 name ^ ":" ^ String.concat ";" (List.map Tuple.to_string tuples))
+               (Database.contents db))))
+  in
+  let log executor =
+    let store = Wal.Mem.store (Wal.Mem.create ()) in
+    let w = Wal.create ~store (Pipeline.initial_database spec_small) in
+    let o = execute_logged ~wal:w executor in
+    let r = recover_clean store in
+    Alcotest.(check int) "versions = 1 + recovered upto" o.Pipeline.versions
+      (1 + r.Wal.upto);
+    (r.Wal.upto, digest (History.latest r.Wal.rhistory))
+  in
+  let parallel = log (fun pool -> Pipeline.Parallel { pool; index = None }) in
+  let repair = log (fun pool -> Pipeline.Repair { pool; batch = 4; index = None }) in
+  let sharded = log (fun _ -> Pipeline.Sharded { shards = 2 }) in
+  Alcotest.(check int) "changing writes in tagged" 4 (fst parallel);
+  Alcotest.(check (pair int string)) "repair = parallel" parallel repair;
+  Alcotest.(check (pair int string)) "sharded = parallel" parallel sharded
 
 let test_sink_rejects_prepend () =
   let store = Wal.Mem.store (Wal.Mem.create ()) in
@@ -634,6 +739,13 @@ let () =
             test_durability_oracle_accepts;
           Alcotest.test_case "live trace lawful" `Quick test_live_trace_lawful;
         ] );
+      ( "commit-path",
+        [
+          Alcotest.test_case "writer keeps only the newest version" `Quick
+            test_writer_keeps_newest_only;
+          Alcotest.test_case "one-tuple append allocation" `Quick
+            test_append_allocation;
+        ] );
       ( "fuzz",
         [ QCheck_alcotest.to_alcotest prop_prefix_recovers_prefix ] );
       ( "crash-restart",
@@ -651,5 +763,6 @@ let () =
           Alcotest.test_case "run_sharded" `Quick test_sink_run_sharded;
           Alcotest.test_case "modes agree" `Slow test_sink_modes_agree;
           Alcotest.test_case "rejects Prepend" `Quick test_sink_rejects_prepend;
+          Alcotest.test_case "batched arms agree" `Quick test_sink_arms_agree;
         ] );
     ]
