@@ -79,6 +79,7 @@ expect_usage_error repair --batch 0
 expect_usage_error par --domains 0
 expect_usage_error shard --shards 0
 expect_usage_error recover-disk --sweep 0
+expect_usage_error recover-disk --key-range 0
 expect_usage_error check --clients 0
 rm -f "$ERR"
 # Traffic smoke: the open-loop harness through every execution mode on two

@@ -1262,7 +1262,7 @@ let recover_disk_cmd =
     Term.(
       const go
       $ scenario "recover-disk" ~txns:(txns 8) ~relations:(relations 2)
-          ~tuples:(tuples 6)
+          ~tuples:(tuples 6) ~key_range:(key_range 12)
       $ sweep ~doc:"Consecutive seeds per (fault, checkpoint-interval) cell." 13
       $ checkpoints $ sync_every $ faults
       $ trace_out

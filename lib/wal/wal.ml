@@ -164,7 +164,6 @@ type writer = {
   mutable seg : int;
   mutable unsynced : int;  (* appends since the last sync *)
   mutable since_ckpt : int;
-  mutable ckpt_bytes : int;  (* length of the last checkpoint frame *)
 }
 
 let appended w = w.appended
@@ -173,20 +172,20 @@ let segment w = w.seg
 let latest w = w.latest
 
 (* Write and sync a checkpoint frame as the head of segment [seg]: the
-   covered version index, then a one-version archive of that database.
-   [size] is the expected payload length (the previous checkpoint's). *)
-let write_checkpoint ?size store ~seg ~upto db =
-  let fr =
-    Wire.frame_with ?size ~kind:Wire.Checkpoint (fun b ->
-        Wire.write_int b upto;
-        Wire.write_archive b (History.create db))
+   covered version index, then a one-version archive of that database,
+   handed to the store chunk by chunk. *)
+let write_checkpoint store ~seg ~upto db =
+  let bytes =
+    Wire.write_frame ~kind:Wire.Checkpoint
+      (fun e ->
+        Wire.write_int e upto;
+        Wire.write_archive e (History.create db))
+      (store.Store.append (seg_name seg))
   in
-  store.Store.append (seg_name seg) fr;
   store.Store.sync (seg_name seg);
-  emit (Event.Wal_checkpoint { upto; bytes = String.length fr; segment = seg });
+  emit (Event.Wal_checkpoint { upto; bytes; segment = seg });
   Metrics.incr m_ckpts;
-  Metrics.observe h_frame_bytes (String.length fr);
-  String.length fr
+  Metrics.observe h_frame_bytes bytes
 
 (* Old segments go only after the new checkpoint is down and synced. *)
 let delete_older store ~than =
@@ -213,11 +212,7 @@ let checkpoint w =
   sync w;
   let upto = appended w in
   let seg = w.seg + 1 in
-  (* Sized from the last checkpoint plus an eighth for the state's growth
-     since, so a megabyte buffer does not regrow; a state that outgrew
-     even that only costs a doubling. *)
-  let size = w.ckpt_bytes + (w.ckpt_bytes / 8) in
-  w.ckpt_bytes <- write_checkpoint ~size w.store ~seg ~upto w.latest;
+  write_checkpoint w.store ~seg ~upto w.latest;
   w.seg <- seg;
   w.since_ckpt <- 0;
   delete_older w.store ~than:seg
@@ -225,7 +220,7 @@ let checkpoint w =
 let make ?(sync_every = 1) ?(checkpoint_every = 0) ~store ~first ~seg db =
   if sync_every < 0 then invalid_arg "Wal.create: sync_every < 0";
   if checkpoint_every < 0 then invalid_arg "Wal.create: checkpoint_every < 0";
-  let ckpt_bytes = write_checkpoint store ~seg ~upto:first db in
+  write_checkpoint store ~seg ~upto:first db;
   delete_older store ~than:seg;
   {
     store;
@@ -237,7 +232,6 @@ let make ?(sync_every = 1) ?(checkpoint_every = 0) ~store ~first ~seg db =
     seg;
     unsynced = 0;
     since_ckpt = 0;
-    ckpt_bytes;
   }
 
 let create ?sync_every ?checkpoint_every ~store db =
@@ -246,19 +240,20 @@ let create ?sync_every ?checkpoint_every ~store db =
 let append w db =
   let prev = w.latest in
   let idx = w.appended + 1 in
-  let fr =
-    Wire.frame_with ~kind:Wire.Delta (fun b ->
-        Wire.write_int b idx;
-        Buffer.add_string b (Wire.encode_version ~prev db))
+  let bytes =
+    Wire.write_frame ~kind:Wire.Delta
+      (fun e ->
+        Wire.write_int e idx;
+        Wire.write_version e ~prev db)
+      (w.store.Store.append (seg_name w.seg))
   in
-  w.store.Store.append (seg_name w.seg) fr;
   w.latest <- db;
   w.appended <- idx;
   w.unsynced <- w.unsynced + 1;
   w.since_ckpt <- w.since_ckpt + 1;
   Metrics.incr m_appends;
-  Metrics.observe h_frame_bytes (String.length fr);
-  emit (Event.Wal_append { index = idx; bytes = String.length fr });
+  Metrics.observe h_frame_bytes bytes;
+  emit (Event.Wal_append { index = idx; bytes });
   if w.sync_every > 0 && w.unsynced >= w.sync_every then sync w;
   if w.checkpoint_every > 0 && w.since_ckpt >= w.checkpoint_every then
     checkpoint w

@@ -42,10 +42,19 @@ open Fdb_relational
 
 (** Where log bytes live.  A first-class record of closures so the
     simulator can inject an in-memory store with torn-write crash
-    semantics while the CLI and bench run against real files. *)
+    semantics while the CLI and bench run against real files.
+
+    {b Ownership.}  [append file bytes] must consume [bytes] — copy them
+    or write them out — before it returns, and keep no reference to them:
+    a checkpoint frame reaches the store as its 10-byte header followed by
+    the encoder's chunks themselves ({!Fdb_wire.Wire.write_frame}), which
+    the next checkpoint rewrites in place.  A frame may arrive in several
+    [append] calls; their bytes, in order, are the frame. *)
 module Store : sig
   type t = {
-    append : string -> string -> unit;  (** [append file bytes] — buffered *)
+    append : string -> string -> unit;
+        (** [append file bytes] — buffered; consumes [bytes] before
+            returning *)
     sync : string -> unit;  (** flush [file]; its bytes are now durable *)
     read : string -> string option;  (** whole current contents *)
     list_files : unit -> string list;
@@ -58,7 +67,7 @@ end
     many bytes were covered by the last [sync].  {!val:crash} keeps the
     synced prefix plus a {e random prefix of the unsynced suffix} — a torn
     write — which is exactly the fault model the recovery reader must
-    survive. *)
+    survive.  [append] copies its bytes into the file's buffer. *)
 module Mem : sig
   type t
 
@@ -81,9 +90,10 @@ end
 
 module Fs : sig
   val store : dir:string -> Store.t
-  (** A directory of segment files.  [sync] flushes the channel (the
-      strongest barrier available without a Unix dependency); call
-      [close] when done. *)
+  (** A directory of segment files.  [append] writes its bytes to the
+      file's channel, which copies or writes them out before returning;
+      [sync] flushes the channel (the strongest barrier available without
+      a Unix dependency); call [close] when done. *)
 end
 
 val segment_name : int -> string
@@ -115,7 +125,12 @@ val sync : writer -> unit
 (** Explicit fsync point: every appended version becomes durable. *)
 
 val checkpoint : writer -> unit
-(** Force a compact checkpoint now (see the fsync discipline above). *)
+(** Force a compact checkpoint now (see the fsync discipline above).  The
+    frame is encoded into fixed-size chunks from Wire's weak per-domain
+    pool, which the next checkpoint on the domain rewrites, a new writer's
+    genesis checkpoint included: a checkpoint that follows another
+    allocates almost nothing, yet nothing holds its bytes against the
+    GC. *)
 
 val latest : writer -> Database.t
 (** The newest appended version: the base the next {!append} diffs

@@ -71,68 +71,282 @@ let crc_init = 0xFFFFFFFF
 let crc_finish c = c lxor 0xFFFFFFFF
 let crc32c s = Int32.of_int (crc_finish (crc_feed crc_init s 0 (String.length s)))
 
-(* -- writer primitives ----------------------------------------------------- *)
+(* -- the encoder ---------------------------------------------------------------
 
-(* Decimal digits straight into [b], the same bytes as [string_of_int]
-   but with no intermediate string: the recursion (at most 19 deep) holds
-   the higher digits, so no buffer is shared between callers.  Digits come
-   from the non-positive magnitude, which holds [min_int] too. *)
-let rec w_digits b m =
-  if m <= -10 then w_digits b (m / 10);
-  Buffer.add_char b (Char.unsafe_chr (Char.code '0' - (m mod 10)))
+   Every payload is written by one encoder straight into fixed-size chunks.
+   A tuple costs one capacity check against an upper bound on its encoded
+   length and is then written with no further checks; a tuple that would
+   cross the end of its chunk is written into a small staging area and
+   copied across; a string longer than the staging area is copied in
+   pieces, spanning as many chunks as it needs.  A frame's checksum is fed
+   each chunk as it fills, while the chunk is still in cache.
 
-let w_int b n =
-  if n < 0 then begin
-    Buffer.add_char b '-';
-    w_digits b n
+   Chunks come from a per-domain pool that holds them weakly: the next
+   payload encoded on the domain rewrites them unless the GC has reclaimed
+   them in between, so a megabyte checkpoint taken again and again
+   allocates almost nothing, a small payload allocates only its result,
+   and nothing keeps a frame's bytes alive. *)
+
+let chunk_size = 65536
+let stage_size = 1024
+
+(* Upper bounds on the bytes the [put_*] writers below emit: an int is at
+   most 19 digits, a sign and ';'; "%h" writes at most 24 characters
+   ("-0x1.fffffffffffffp+1023"), bounded here with room to spare. *)
+let int_bound = 21
+
+let value_bound = function
+  | Value.Int _ | Value.Bool _ -> 1 + int_bound
+  | Value.Str s -> 1 + int_bound + String.length s
+  | Value.Real _ -> 1 + int_bound + 64
+
+let tuple_bound tup =
+  let n = ref int_bound in
+  for i = 0 to Array.length tup - 1 do
+    n := !n + value_bound (Array.unsafe_get tup i)
+  done;
+  !n
+
+(* [put_*] write at [pos] with no capacity check and return the position
+   just past what they wrote; the caller has checked the bound.
+
+   A magnitude below [small] (2^30, which holds every key, length and
+   count a payload carries in practice) is written two digits per step
+   from the back, and below [small] [x / 100] is [(x * 42949673) lsr 32]
+   exactly (the product stays under 2^56): a multiply where a division
+   would cost tens of cycles.  Any other int takes [put_digits], one
+   division per digit from the non-positive magnitude, which holds
+   [min_int] too. *)
+let small = 0x40000000
+
+let digit_pairs =
+  String.init 200 (fun i ->
+      Char.unsafe_chr
+        (Char.code '0' + if i land 1 = 0 then i / 20 else i / 2 mod 10))
+
+let ndigits x =
+  if x < 10 then 1
+  else if x < 100 then 2
+  else if x < 1_000 then 3
+  else if x < 10_000 then 4
+  else if x < 100_000 then 5
+  else if x < 1_000_000 then 6
+  else if x < 10_000_000 then 7
+  else if x < 100_000_000 then 8
+  else if x < 1_000_000_000 then 9
+  else 10
+
+(* [0 <= x < small] *)
+let put_small b pos x =
+  let stop = pos + ndigits x in
+  let i = ref stop and x = ref x in
+  while !x >= 10 do
+    let q = (!x * 42949673) lsr 32 in
+    let r = 2 * (!x - (q * 100)) in
+    i := !i - 2;
+    Bytes.unsafe_set b !i (String.unsafe_get digit_pairs r);
+    Bytes.unsafe_set b (!i + 1) (String.unsafe_get digit_pairs (r + 1));
+    x := q
+  done;
+  if !i > pos then Bytes.unsafe_set b pos (Char.unsafe_chr (Char.code '0' + !x));
+  stop
+
+let rec put_digits b pos m =
+  let pos = if m <= -10 then put_digits b pos (m / 10) else pos in
+  Bytes.unsafe_set b pos (Char.unsafe_chr (Char.code '0' - (m mod 10)));
+  pos + 1
+
+let put_int b pos n =
+  let pos =
+    if n >= 0 then if n < small then put_small b pos n else put_digits b pos (-n)
+    else begin
+      Bytes.unsafe_set b pos '-';
+      if n > -small then put_small b (pos + 1) (-n)
+      else put_digits b (pos + 1) n
+    end
+  in
+  Bytes.unsafe_set b pos ';';
+  pos + 1
+
+let put_char b pos c =
+  Bytes.unsafe_set b pos c;
+  pos + 1
+
+let put_str b pos s =
+  let pos = put_int b pos (String.length s) in
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+(* %h round-trips every finite float exactly *)
+let real_repr r = Printf.sprintf "%h" r
+
+let put_value b pos = function
+  | Value.Int n -> put_int b (put_char b pos 'I') n
+  | Value.Str s -> put_str b (put_char b pos 'S') s
+  | Value.Bool v -> put_int b (put_char b pos 'B') (if v then 1 else 0)
+  | Value.Real r -> put_str b (put_char b pos 'R') (real_repr r)
+
+let put_tuple b pos tup =
+  let pos = ref (put_int b pos (Array.length tup)) in
+  for i = 0 to Array.length tup - 1 do
+    pos := put_value b !pos (Array.unsafe_get tup i)
+  done;
+  !pos
+
+(* A domain's chunk pool and staging area.  An encoder started inside
+   another's [write] or [emit] finds them taken and allocates its own. *)
+type arena = {
+  mutable chunks : Bytes.t Weak.t;
+  stage : Bytes.t;
+  mutable taken : bool;
+}
+
+let arena =
+  Domain.DLS.new_key (fun () ->
+      { chunks = Weak.create 64; stage = Bytes.create stage_size;
+        taken = false })
+
+type encoder = {
+  mutable buf : Bytes.t;  (* the chunk being filled *)
+  mutable pos : int;  (* bytes written into [buf] *)
+  mutable full : Bytes.t list;  (* the filled chunks, newest first *)
+  mutable nfull : int;
+  mutable crc : int;  (* running frame checksum over the filled chunks *)
+  checksum : bool;
+  pool : arena option;  (* where chunks come from; fresh ones if none *)
+  stage : Bytes.t;
+}
+
+(* The [i]th chunk of a payload: the pool's, unless the GC took it. *)
+let chunk pool i =
+  match pool with
+  | None -> Bytes.create chunk_size
+  | Some s -> (
+      let n = Weak.length s.chunks in
+      if i >= n then begin
+        let grown = Weak.create (max (i + 1) (2 * n)) in
+        Weak.blit s.chunks 0 grown 0 n;
+        s.chunks <- grown
+      end;
+      match Weak.get s.chunks i with
+      | Some c -> c
+      | None ->
+          let c = Bytes.create chunk_size in
+          Weak.set s.chunks i (Some c);
+          c)
+
+let with_encoder ~checksum f =
+  let s = Domain.DLS.get arena in
+  let own = not s.taken in
+  s.taken <- true;
+  let pool = if own then Some s else None in
+  let stage = if own then s.stage else Bytes.create stage_size in
+  match
+    f { buf = chunk pool 0; pos = 0; full = []; nfull = 0; crc = crc_init;
+        checksum; pool; stage }
+  with
+  | r ->
+      if own then s.taken <- false;
+      r
+  | exception x ->
+      let bt = Printexc.get_raw_backtrace () in
+      if own then s.taken <- false;
+      Printexc.raise_with_backtrace x bt
+
+(* Seal the full chunk [e.buf] and start the next one. *)
+let next_chunk e =
+  if e.checksum then
+    e.crc <- crc_feed e.crc (Bytes.unsafe_to_string e.buf) 0 chunk_size;
+  e.full <- e.buf :: e.full;
+  e.nfull <- e.nfull + 1;
+  e.buf <- chunk e.pool e.nfull;
+  e.pos <- 0
+
+(* Copy [len] bytes of [src] from [off], across chunk ends. *)
+let rec blit_across e src off len =
+  let room = chunk_size - e.pos in
+  if len <= room then begin
+    Bytes.blit_string src off e.buf e.pos len;
+    e.pos <- e.pos + len
   end
-  else w_digits b (-n);
-  Buffer.add_char b ';'
+  else begin
+    Bytes.blit_string src off e.buf e.pos room;
+    e.pos <- chunk_size;
+    next_chunk e;
+    blit_across e src (off + room) (len - room)
+  end
 
-let w_str b s =
-  w_int b (String.length s);
-  Buffer.add_string b s
+(* The first [len] bytes of the staging area, copied across chunk ends;
+   the string view of the stage does not outlive the copy. *)
+let unstage e len = blit_across e (Bytes.unsafe_to_string e.stage) 0 len
 
-let w_value b = function
-  | Value.Int n ->
-      Buffer.add_char b 'I';
-      w_int b n
-  | Value.Str s ->
-      Buffer.add_char b 'S';
-      w_str b s
-  | Value.Bool v ->
-      Buffer.add_char b 'B';
-      w_int b (if v then 1 else 0)
-  | Value.Real r ->
-      Buffer.add_char b 'R';
-      (* %h round-trips every finite float exactly *)
-      w_str b (Printf.sprintf "%h" r)
+let w_char e c =
+  if e.pos = chunk_size then next_chunk e;
+  e.pos <- put_char e.buf e.pos c
 
-let w_tuple b tup =
-  w_int b (Tuple.arity tup);
-  for i = 0 to Tuple.arity tup - 1 do
-    w_value b (Tuple.get tup i)
-  done
+let w_int e n =
+  if e.pos + int_bound <= chunk_size then e.pos <- put_int e.buf e.pos n
+  else unstage e (put_int e.stage 0 n)
 
-let w_backend b = function
-  | Relation.List_backend -> Buffer.add_char b 'L'
-  | Relation.Avl_backend -> Buffer.add_char b 'A'
-  | Relation.Two3_backend -> Buffer.add_char b 'T'
+let w_raw e s = blit_across e s 0 (String.length s)
+
+let w_str e s =
+  w_int e (String.length s);
+  w_raw e s
+
+let w_value e = function
+  | Value.Str s when 1 + int_bound + String.length s > stage_size ->
+      w_char e 'S';
+      w_str e s
+  | v ->
+      if e.pos + value_bound v <= chunk_size then
+        e.pos <- put_value e.buf e.pos v
+      else unstage e (put_value e.stage 0 v)
+
+let w_tuple e tup =
+  let bound = tuple_bound tup in
+  if e.pos + bound <= chunk_size then e.pos <- put_tuple e.buf e.pos tup
+  else if bound <= stage_size then unstage e (put_tuple e.stage 0 tup)
+  else begin
+    w_int e (Array.length tup);
+    Array.iter (w_value e) tup
+  end
+
+let contents e =
+  if e.nfull = 0 then Bytes.sub_string e.buf 0 e.pos
+  else begin
+    let b = Bytes.create ((e.nfull * chunk_size) + e.pos) in
+    List.iteri
+      (fun i c -> Bytes.blit c 0 b ((e.nfull - 1 - i) * chunk_size) chunk_size)
+      e.full;
+    Bytes.blit e.buf 0 b (e.nfull * chunk_size) e.pos;
+    Bytes.unsafe_to_string b
+  end
+
+let encode write =
+  with_encoder ~checksum:false (fun e ->
+      write e;
+      contents e)
+
+let w_backend e = function
+  | Relation.List_backend -> w_char e 'L'
+  | Relation.Avl_backend -> w_char e 'A'
+  | Relation.Two3_backend -> w_char e 'T'
   | Relation.Btree_backend k ->
-      Buffer.add_char b 'B';
-      w_int b k
+      w_char e 'B';
+      w_int e k
   | Relation.Column_backend k ->
-      Buffer.add_char b 'C';
-      w_int b k
+      w_char e 'C';
+      w_int e k
 
-let w_schema b schema =
-  w_str b (Schema.name schema);
+let w_schema e schema =
+  w_str e (Schema.name schema);
   let cols = Schema.columns schema in
-  w_int b (List.length cols);
+  w_int e (List.length cols);
   List.iter
     (fun (name, ctype) ->
-      w_str b name;
-      Buffer.add_char b
+      w_str e name;
+      w_char e
         (match ctype with
         | Schema.CInt -> 'i'
         | Schema.CStr -> 's'
@@ -140,9 +354,9 @@ let w_schema b schema =
         | Schema.CReal -> 'r'))
     cols
 
-let w_relation_body b rel =
-  w_int b (Relation.size rel);
-  Relation.iter (w_tuple b) rel
+let w_relation_body e rel =
+  w_int e (Relation.size rel);
+  Relation.iter (w_tuple e) rel
 
 let write_int = w_int
 
@@ -249,20 +463,20 @@ let r_relation_body r ~backend schema =
 
 let magic = "FDBSNAP1"
 
-let write_archive ?(changed_only = true) b history =
-  Buffer.add_string b magic;
+let write_archive ?(changed_only = true) e history =
+  w_raw e magic;
   let n = History.length history in
   let v0 = History.version history 0 in
   let slots0 = Database.slots v0 in
-  w_int b n;
-  w_int b (List.length slots0);
+  w_int e n;
+  w_int e (List.length slots0);
   List.iter
     (fun (_, rel) ->
-      w_schema b (Relation.schema rel);
-      w_backend b (Relation.backend rel))
+      w_schema e (Relation.schema rel);
+      w_backend e (Relation.backend rel))
     slots0;
   (* version 0: everything *)
-  List.iter (fun (_, rel) -> w_relation_body b rel) slots0;
+  List.iter (fun (_, rel) -> w_relation_body e rel) slots0;
   (* later versions: indices of replaced slots, then their bodies *)
   for i = 1 to n - 1 do
     let after = History.version history i in
@@ -273,18 +487,16 @@ let write_archive ?(changed_only = true) b history =
           (Database.changed_slots ~old:(History.version history (i - 1)) after)
       else List.mapi (fun idx (_, rel) -> (idx, rel)) (Database.slots after)
     in
-    w_int b (List.length changed);
+    w_int e (List.length changed);
     List.iter
       (fun (idx, rel) ->
-        w_int b idx;
-        w_relation_body b rel)
+        w_int e idx;
+        w_relation_body e rel)
       changed
   done
 
 let encode_archive ?changed_only history =
-  let b = Buffer.create 4096 in
-  write_archive ?changed_only b history;
-  Buffer.contents b
+  encode (fun e -> write_archive ?changed_only e history)
 
 let decode_archive_sub src ~pos =
   let r = { src; pos } in
@@ -351,26 +563,26 @@ let decode_archive src =
 
    'P' puts a tuple (insert or rewrite of its key), 'D' deletes a key. *)
 
-let encode_version ~prev next =
-  let b = Buffer.create 64 in
+let write_version e ~prev next =
   let changed = Database.changed_slots ~old:prev next in
-  w_int b (List.length changed);
+  w_int e (List.length changed);
   List.iter
     (fun (idx, _, old, rel) ->
       let changes = Relation.diff ~old rel in
-      w_int b idx;
-      w_int b (List.length changes);
+      w_int e idx;
+      w_int e (List.length changes);
       List.iter
         (function
           | (_, Some tup) ->
-              Buffer.add_char b 'P';
-              w_tuple b tup
+              w_char e 'P';
+              w_tuple e tup
           | (key, None) ->
-              Buffer.add_char b 'D';
-              w_value b key)
+              w_char e 'D';
+              w_value e key)
         changes)
-    changed;
-  Buffer.contents b
+    changed
+
+let encode_version ~prev next = encode (fun e -> write_version e ~prev next)
 
 let r_change r =
   let at = r.pos in
@@ -437,12 +649,12 @@ let column_magic = "FDBCOL1"
 
 let generic_chunk_rows = 256
 
-let w_col_value b ctype v =
+let w_col_value e ctype v =
   match (ctype, v) with
-  | (Schema.CInt, Value.Int n) -> w_int b n
-  | (Schema.CStr, Value.Str s) -> w_str b s
-  | (Schema.CBool, Value.Bool v) -> Buffer.add_char b (if v then '1' else '0')
-  | (Schema.CReal, Value.Real v) -> w_str b (Printf.sprintf "%h" v)
+  | (Schema.CInt, Value.Int n) -> w_int e n
+  | (Schema.CStr, Value.Str s) -> w_str e s
+  | (Schema.CBool, Value.Bool v) -> w_char e (if v then '1' else '0')
+  | (Schema.CReal, Value.Real v) -> w_str e (real_repr v)
   | _ -> invalid_arg "Wire.encode_chunked: value does not match its column"
 
 let r_col_value r ctype =
@@ -477,29 +689,49 @@ let frame_overhead = 10
 let kind_char = function Checkpoint -> 'C' | Delta -> 'D'
 let kind_of_char = function 'C' -> Some Checkpoint | 'D' -> Some Delta | _ -> None
 
-(* Fill in the header of [b], whose payload is already in place past the
-   first [frame_overhead] bytes. *)
-let seal ~kind b =
-  let len = Bytes.length b - frame_overhead in
-  Bytes.set_int32_le b 0 (Int32.of_int len);
+(* The version and kind bytes of header [b], and the checksum state they
+   start. *)
+let start_header ~kind b =
   Bytes.set b 4 format_version;
   Bytes.set b 5 (kind_char kind);
-  let s = Bytes.unsafe_to_string b in
-  let crc = crc_feed (crc_feed crc_init s 4 2) s frame_overhead len in
-  Bytes.set_int32_le b 6 (Int32.of_int (crc_finish crc));
-  Bytes.unsafe_to_string b
+  crc_feed crc_init (Bytes.unsafe_to_string b) 4 2
+
+let finish_header b ~len crc =
+  Bytes.set_int32_le b 0 (Int32.of_int len);
+  Bytes.set_int32_le b 6 (Int32.of_int (crc_finish crc))
 
 let frame ~kind payload =
   let len = String.length payload in
   let b = Bytes.create (len + frame_overhead) in
   Bytes.blit_string payload 0 b frame_overhead len;
-  seal ~kind b
+  finish_header b ~len (crc_feed (start_header ~kind b) payload 0 len);
+  Bytes.unsafe_to_string b
 
-let frame_with ?(size = 256) ~kind write =
-  let b = Buffer.create (frame_overhead + size) in
-  Buffer.add_string b (String.make frame_overhead '\000');
-  write b;
-  seal ~kind (Buffer.to_bytes b)
+(* The payload's chunks are all written before the header can be: its
+   length and checksum cover them.  A frame that fits one chunk goes out
+   as one string; a longer one as its header, then its full chunks as
+   they are, then a copy of the partly filled last one. *)
+let write_frame ~kind write emit =
+  with_encoder ~checksum:true (fun e ->
+      let hd = Bytes.create frame_overhead in
+      e.crc <- start_header ~kind hd;
+      write e;
+      let len = (e.nfull * chunk_size) + e.pos in
+      finish_header hd ~len
+        (crc_feed e.crc (Bytes.unsafe_to_string e.buf) 0 e.pos);
+      if e.nfull = 0 then begin
+        let b = Bytes.create (frame_overhead + len) in
+        Bytes.blit hd 0 b 0 frame_overhead;
+        Bytes.blit e.buf 0 b frame_overhead len;
+        emit (Bytes.unsafe_to_string b)
+      end
+      else begin
+        emit (Bytes.unsafe_to_string hd);
+        List.iter (fun c -> emit (Bytes.unsafe_to_string c)) (List.rev e.full);
+        if e.pos = chunk_size then emit (Bytes.unsafe_to_string e.buf)
+        else if e.pos > 0 then emit (Bytes.sub_string e.buf 0 e.pos)
+      end;
+      frame_overhead + len)
 
 type frame_result =
   | Frame of { kind : kind; payload : string; next : int }
@@ -570,28 +802,33 @@ let encode_chunked rel =
             Array.init ncols (fun j ->
                 Array.init len (fun i -> Tuple.get tuples.(lo + i) j)))
   in
-  let header = Buffer.create 64 in
-  Buffer.add_string header column_magic;
-  w_schema header schema;
-  w_backend header (Relation.backend rel);
-  w_int header (Array.length chunks);
-  w_int header (Relation.size rel);
   let out = Buffer.create 4096 in
-  Buffer.add_string out (frame ~kind:Checkpoint (Buffer.contents header));
+  let emit = Buffer.add_string out in
+  ignore
+    (write_frame ~kind:Checkpoint
+       (fun e ->
+         w_raw e column_magic;
+         w_schema e schema;
+         w_backend e (Relation.backend rel);
+         w_int e (Array.length chunks);
+         w_int e (Relation.size rel))
+       emit);
   Array.iter
     (fun cols ->
       if Array.length cols <> ncols then
         invalid_arg "Wire.encode_chunked: chunk width differs from the schema";
       let rows = if ncols = 0 then 0 else Array.length cols.(0) in
-      let b = Buffer.create (rows * 8) in
-      w_int b rows;
-      Array.iteri
-        (fun j col ->
-          if Array.length col <> rows then
-            invalid_arg "Wire.encode_chunked: ragged chunk";
-          Array.iter (w_col_value b ctypes.(j)) col)
-        cols;
-      Buffer.add_string out (frame ~kind:Delta (Buffer.contents b)))
+      ignore
+        (write_frame ~kind:Delta
+           (fun e ->
+             w_int e rows;
+             Array.iteri
+               (fun j col ->
+                 if Array.length col <> rows then
+                   invalid_arg "Wire.encode_chunked: ragged chunk";
+                 Array.iter (w_col_value e ctypes.(j)) col)
+               cols)
+           emit))
     chunks;
   Buffer.contents out
 

@@ -45,14 +45,6 @@ type kind = Checkpoint | Delta
 val frame : kind:kind -> string -> string
 (** Wrap a payload in a framed record as diagrammed above. *)
 
-val frame_with : ?size:int -> kind:kind -> (Buffer.t -> unit) -> string
-(** [frame_with ~kind write] is [frame ~kind payload] for the [payload]
-    that [write] appends to the buffer it is given, built without an
-    intermediate payload string (a checkpoint is megabytes).  [size]
-    (default 256) is the expected payload length: a buffer that starts
-    large enough never regrows, which for a megabyte payload spares the
-    copies and the major-heap garbage of every doubling. *)
-
 val frame_overhead : int
 (** Header bytes per frame (10). *)
 
@@ -65,6 +57,46 @@ type frame_result =
 
 val read_frame : string -> pos:int -> frame_result
 
+(** {1 Encoding}
+
+    Every payload is written by one encoder straight into fixed-size
+    chunks of {!chunk_size} bytes: one capacity check per tuple, a small
+    staging area for a tuple that crosses a chunk end, and a string
+    longer than a chunk spread over as many chunks as it needs.  A frame's
+    CRC32c is fed each chunk as it fills.  The chunks come from a
+    per-domain pool that holds them weakly: the next payload encoded on
+    the same domain rewrites them unless the GC has reclaimed them in
+    between, so a megabyte checkpoint taken again and again allocates
+    almost nothing, yet the pool keeps no frame's bytes alive. *)
+
+type encoder
+(** A payload being written. *)
+
+val chunk_size : int
+(** Bytes per chunk (65536). *)
+
+val write_frame : kind:kind -> (encoder -> unit) -> (string -> unit) -> int
+(** [write_frame ~kind write emit] is [emit (frame ~kind payload)] for the
+    [payload] that [write] encodes, with no copy of the payload taken: a
+    frame that fits one chunk reaches [emit] as one string, a longer one
+    as its header, then each full chunk, then the partly filled last one,
+    which is the only part copied.  Returns the frame's length.
+
+    {b Ownership.}  A string handed to [emit] is valid only until [emit]
+    returns: its bytes are pool chunks that a later payload rewrites.
+    [emit] must consume (copy or write out) it before returning.  [write]
+    and [emit] may themselves encode: a nested encoder takes fresh
+    chunks. *)
+
+val encode : (encoder -> unit) -> string
+(** [encode write] is the payload [write] encodes, as one string. *)
+
+val write_int : encoder -> int -> unit
+(** The digits of [string_of_int n] then [';'], written with no
+    intermediate allocation: the self-delimiting integer encoding the
+    payload codecs use, exposed so layered formats (the WAL's version
+    index ahead of each payload) stay in one codec. *)
+
 (** {1 Archive payloads} *)
 
 val encode_archive : ?changed_only:bool -> Fdb_txn.History.t -> string
@@ -72,8 +104,8 @@ val encode_archive : ?changed_only:bool -> Fdb_txn.History.t -> string
     relations only.  [~changed_only:false] writes every version in full
     (the no-sharing control for the ablation). *)
 
-val write_archive : ?changed_only:bool -> Buffer.t -> Fdb_txn.History.t -> unit
-(** {!encode_archive} appended to a buffer. *)
+val write_archive : ?changed_only:bool -> encoder -> Fdb_txn.History.t -> unit
+(** {!encode_archive} written into an encoder. *)
 
 val decode_archive : string -> Fdb_txn.History.t
 (** Inverse of {!encode_archive}, up to physical representation inside a
@@ -104,6 +136,9 @@ val encode_version : prev:Database.t -> Database.t -> string
       slot   := index ';' nchanges ';' change*
       change := 'P' tuple | 'D' key-value
     v} *)
+
+val write_version : encoder -> prev:Database.t -> Database.t -> unit
+(** {!encode_version} written into an encoder. *)
 
 val decode_version_sub :
   prev:Database.t -> string -> pos:int -> Database.t * int
@@ -143,16 +178,8 @@ val decode_chunked : string -> Relation.t
     @raise Corrupt on torn or truncated frames, checksum mismatch,
     structural damage or trailing bytes. *)
 
-(** {1 Varint helpers}
-
-    The self-delimiting integer encoding the payload codecs use (decimal
-    digits, [';']-terminated) — exposed so layered formats (e.g. the WAL's
-    version-index prefix on each delta payload) stay in one codec. *)
-
-val write_int : Buffer.t -> int -> unit
-(** The digits of [string_of_int n] then [';'], written straight into the
-    buffer with no intermediate allocation; safe to call from any domain. *)
+(** {1 Integers} *)
 
 val read_int : string -> pos:int -> int * int
-(** [read_int s ~pos] is [(n, next)].
+(** [read_int s ~pos] is [(n, next)], the inverse of {!write_int}.
     @raise Corrupt on a malformed or unterminated integer. *)

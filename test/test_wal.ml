@@ -291,7 +291,118 @@ let test_compaction_then_crash () =
     (r.Wal.upto >= durable);
   check_recovered "post-checkpoint crash" r vs
 
-(* -- the durability trace oracle ------------------------------------------- *)
+(* -- multi-chunk checkpoints ------------------------------------------------- *)
+
+(* One B-tree relation of 8000 tuples: a checkpoint frame of about
+   230 KB, which reaches the store as a header and four chunks. *)
+let big_db () =
+  let schema =
+    Schema.make ~name:"R" ~cols:[ ("key", Schema.CInt); ("val", Schema.CStr) ]
+  in
+  match
+    Database.of_tuples ~backend:(Relation.Btree_backend 8) [ schema ]
+      [ ( "R",
+          List.init 8000 (fun k ->
+              Tuple.make
+                [ Value.Int (2 * k); Value.Str (Printf.sprintf "value-%08d" k) ])
+        ) ]
+  with
+  | Ok db -> db
+  | Error e -> Alcotest.fail e
+
+(* [big_db] and three one-tuple commits on it. *)
+let big_chain () =
+  let db0 = big_db () in
+  let put db k =
+    match
+      Database.insert db ~rel:"R"
+        (Tuple.make [ Value.Int k; Value.Str "new" ])
+    with
+    | Ok (db', true) -> db'
+    | _ -> Alcotest.fail "insert"
+  in
+  let db1 = put db0 1 in
+  let db2 = put db1 3 in
+  [| db0; db1; db2; put db2 5 |]
+
+exception Crash
+
+(* A store over [mem] that dies once [!limit] bytes have gone into file
+   [!target]: the append in progress lands only up to the limit. *)
+let crashing_store mem ~target ~limit =
+  let inner = Wal.Mem.store mem in
+  let written = ref 0 in
+  {
+    inner with
+    Wal.Store.append =
+      (fun name bytes ->
+        if name <> !target then inner.Wal.Store.append name bytes
+        else begin
+          let room = !limit - !written in
+          if String.length bytes <= room then begin
+            inner.Wal.Store.append name bytes;
+            written := !written + String.length bytes
+          end
+          else begin
+            inner.Wal.Store.append name (String.sub bytes 0 room);
+            raise Crash
+          end
+        end);
+  }
+
+(* A crash while the next segment's checkpoint frame is being written —
+   inside its header, on each chunk boundary and a byte either side —
+   leaves the previous segment to recover from: every synced version comes
+   back, and the trace obeys the durability law. *)
+let test_torn_multichunk_checkpoint () =
+  let vs = big_chain () in
+  let frame_len =
+    let mem = Wal.Mem.create () in
+    let w = write_chain (Wal.Mem.store mem) vs in
+    Wal.checkpoint w;
+    String.length (Wal.Mem.get mem (Wal.segment_name (Wal.segment w)))
+  in
+  let boundaries =
+    List.filter
+      (fun p -> p < frame_len)
+      (List.init (frame_len / Wire.chunk_size) (fun k ->
+           Wire.frame_overhead + ((k + 1) * Wire.chunk_size)))
+  in
+  Alcotest.(check bool) "several chunk boundaries" true
+    (List.length boundaries >= 3);
+  let cuts =
+    List.init Wire.frame_overhead Fun.id
+    @ List.concat_map (fun p -> [ p - 1; p; p + 1 ]) boundaries
+  in
+  List.iter
+    (fun cut ->
+      let msg = Printf.sprintf "cut at byte %d" cut in
+      let mem = Wal.Mem.create () in
+      let target = ref "" and limit = ref 0 in
+      let store = crashing_store mem ~target ~limit in
+      let ((), trace) =
+        Trace.record (fun () ->
+            let w = write_chain store vs in
+            Wal.sync w;
+            target := Wal.segment_name (Wal.segment w + 1);
+            limit := cut;
+            (match Wal.checkpoint w with
+            | exception Crash -> ()
+            | () -> Alcotest.fail (msg ^ ": no crash"));
+            Alcotest.(check int) (msg ^ ": torn segment holds the cut") cut
+              (String.length (Wal.Mem.get mem !target));
+            let r = Wal.recover store in
+            Alcotest.(check int) (msg ^ ": previous segment") 0 r.Wal.base;
+            Alcotest.(check int) (msg ^ ": every synced version")
+              (Array.length vs - 1) r.Wal.upto;
+            check_recovered msg r vs)
+      in
+      Alcotest.(check (list string)) (msg ^ ": durability law") []
+        (List.map
+           (fun v -> v.Trace_oracle.detail)
+           (Trace_oracle.durability trace)))
+    cuts
+
 
 let ev kind = { Event.ts = 0; site = 0; kind }
 
@@ -518,6 +629,83 @@ let test_append_allocation () =
     true (words < 2000.);
   Alcotest.(check int) "appended" 2 (Wal.appended w)
 
+(* Nothing holds checkpoint bytes strongly: once a checkpoint has
+   returned, a full major collection frees every string it handed the
+   store — header, chunks and tail — though the writer lives on. *)
+let test_checkpoint_chunks_weak () =
+  let seen = Weak.create 64 in
+  let n = ref 0 in
+  let inner = Wal.Mem.store (Wal.Mem.create ()) in
+  let store =
+    {
+      inner with
+      Wal.Store.append =
+        (fun name bytes ->
+          if !n < Weak.length seen then Weak.set seen !n (Some bytes);
+          incr n;
+          inner.Wal.Store.append name bytes);
+    }
+  in
+  let w = Wal.create ~store (big_db ()) in
+  Weak.fill seen 0 (Weak.length seen) None;
+  n := 0;
+  Wal.checkpoint w;
+  Alcotest.(check bool) "a header and several chunks" true (!n >= 4);
+  Gc.full_major ();
+  for i = 0 to !n - 1 do
+    Alcotest.(check bool) (Printf.sprintf "string %d freed" i) false
+      (Weak.check seen i)
+  done;
+  Alcotest.(check int) "writer alive" 0 (Wal.appended w)
+
+(* A checkpoint that follows another with no major cycle completed in
+   between reuses its chunks — so does the genesis checkpoint of a new
+   writer — and allocates under two chunks of major-heap words (the copied
+   tail and small change), where a frame built in a growing buffer and
+   then copied would cost the whole frame twice over. *)
+let test_checkpoint_reuses_chunks () =
+  let null =
+    {
+      Wal.Store.append = (fun _ _ -> ());
+      sync = ignore;
+      read = (fun _ -> None);
+      list_files = (fun () -> []);
+      remove = ignore;
+      close = ignore;
+    }
+  in
+  let db = big_db () in
+  let w = Wal.create ~sync_every:0 ~store:null db in
+  (* a direct major-heap allocation is counted at the next minor
+     collection *)
+  let stat () =
+    Gc.minor ();
+    Gc.quick_stat ()
+  in
+  let limit = 2. *. float_of_int (Wire.chunk_size / (Sys.word_size / 8)) in
+  let rec attempt what second tries =
+    (* start from a finished cycle: a cycle already marking could clear
+       the weak pool before its count moves *)
+    Gc.full_major ();
+    Wal.checkpoint w;
+    let s1 = stat () in
+    second ();
+    let s2 = stat () in
+    let quiet = s2.Gc.major_collections = s1.Gc.major_collections in
+    if quiet || tries = 0 then begin
+      let words = s2.Gc.major_words -. s1.Gc.major_words in
+      Alcotest.(check bool) (what ^ ": no major cycle in between") true quiet;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f major words < %.0f" what words limit)
+        true (words < limit)
+    end
+    else attempt what second (tries - 1)
+  in
+  attempt "checkpoint" (fun () -> Wal.checkpoint w) 5;
+  attempt "new writer"
+    (fun () -> ignore (Wal.create ~sync_every:0 ~store:null db))
+    5
+
 (* -- the Pipeline durability sink ------------------------------------------- *)
 
 let schemas =
@@ -730,6 +918,8 @@ let () =
             test_compaction_equality;
           Alcotest.test_case "crash after checkpoint" `Quick
             test_compaction_then_crash;
+          Alcotest.test_case "torn multi-chunk checkpoint" `Quick
+            test_torn_multichunk_checkpoint;
         ] );
       ( "oracle",
         [
@@ -745,6 +935,10 @@ let () =
             test_writer_keeps_newest_only;
           Alcotest.test_case "one-tuple append allocation" `Quick
             test_append_allocation;
+          Alcotest.test_case "checkpoint chunks held weakly" `Quick
+            test_checkpoint_chunks_weak;
+          Alcotest.test_case "checkpoint reuses its chunks" `Quick
+            test_checkpoint_reuses_chunks;
         ] );
       ( "fuzz",
         [ QCheck_alcotest.to_alcotest prop_prefix_recovers_prefix ] );

@@ -12,6 +12,7 @@ module Oracle = Fdb_check.Oracle
 module Gen = Fdb_check.Gen
 module Merge = Fdb_merge.Merge
 module Txn = Fdb_txn.Txn
+module Wal = Fdb_wal.Wal
 
 let q = Fdb_query.Parser.parse_exn
 
@@ -76,24 +77,49 @@ let prop_crc32c_bitwise =
 let test_int_roundtrip () =
   List.iter
     (fun n ->
-      let b = Buffer.create 8 in
-      Wire.write_int b n;
-      let s = Buffer.contents b in
+      let s = Wire.encode (fun e -> Wire.write_int e n) in
       Alcotest.(check string) (Printf.sprintf "bytes of %d" n) (string_of_int n ^ ";") s;
       Alcotest.(check (pair int int)) (Printf.sprintf "read %d" n)
         (n, String.length s) (Wire.read_int s ~pos:0))
     [ 0; -1; 1; 9; 10; -10; 99; 100; 123456789; max_int; min_int;
-      max_int - 1; min_int + 1 ]
+      max_int - 1; min_int + 1; 999; 1000; 999_999_999; 1_000_000_000;
+      0x3FFFFFFF; 0x40000000; -0x3FFFFFFF; -0x40000000; -0x40000001 ]
 
 (* The checkpoint bytes depend on it: write_int writes exactly
    string_of_int's digits, for every int. *)
 let prop_int_digits =
   QCheck2.Test.make ~name:"write_int writes string_of_int's digits" ~count:500
-    QCheck2.Gen.(oneof [ int; int_range (-1000) 1000; oneofl [ min_int; max_int ] ])
+    QCheck2.Gen.(
+      oneof
+        [ int; int_range (-1000) 1000; int_range (-0x50000000) 0x50000000;
+          oneofl [ min_int; max_int ] ])
     (fun n ->
-      let b = Buffer.create 8 in
-      Wire.write_int b n;
-      Buffer.contents b = string_of_int n ^ ";")
+      Wire.encode (fun e -> Wire.write_int e n) = string_of_int n ^ ";")
+
+(* An encoder started inside another's callback writes into chunks of its
+   own, not over the bytes the outer one has written so far. *)
+let test_nested_encoders () =
+  let inner = ref "" in
+  let outer =
+    Wire.encode (fun e ->
+        Wire.write_int e 12345;
+        inner := Wire.encode (fun e' -> Wire.write_int e' 678);
+        Wire.write_int e 9)
+  in
+  Alcotest.(check string) "outer" "12345;9;" outer;
+  Alcotest.(check string) "inner" "678;" !inner;
+  let frames = Buffer.create 64 in
+  ignore
+    (Wire.write_frame ~kind:Wire.Delta
+       (fun e -> Wire.write_int e 1)
+       (fun s ->
+         Buffer.add_string frames s;
+         Buffer.add_string frames
+           (Wire.frame ~kind:Wire.Delta
+              (Wire.encode (fun e -> Wire.write_int e 2)))));
+  Alcotest.(check string) "frame written while emitting"
+    (Wire.frame ~kind:Wire.Delta "1;" ^ Wire.frame ~kind:Wire.Delta "2;")
+    (Buffer.contents frames)
 
 (* -- frames ----------------------------------------------------------------- *)
 
@@ -501,6 +527,139 @@ let test_version_delta_garbage_raises () =
     [ ""; "1;"; "1;0;"; "1;0;1;"; "1;0;1;X"; "1;9;0;"; "-1;"; "1;0;-1;";
       "1;0;1;P0;"; "1;0;1;P1;S1;a"; "1;0;1;DI"; "3;0;0;0;0;0;0;" ]
 
+(* -- multi-chunk checkpoint frames --------------------------------------------
+
+   A checkpoint of a few hundred kilobytes spans several of the encoder's
+   chunks.  These states put a tuple across every chunk boundary — rows
+   of one encoded length in "U", then one string of 150 000 bytes in "L" —
+   carry every value kind with its edge values in "E", and come in every
+   backend.  The MD5s pin the bytes the Buffer-based frame writer wrote
+   before the chunk encoder replaced it. *)
+
+let ckpt_cols =
+  [ ("key", Schema.CInt); ("big", Schema.CInt); ("flag", Schema.CBool);
+    ("ratio", Schema.CReal); ("label", Schema.CStr) ]
+
+let ckpt_row k big flag ratio label =
+  Tuple.make
+    [ Value.Int k; Value.Int big; Value.Bool flag; Value.Real ratio;
+      Value.Str label ]
+
+let edge_rows =
+  [ ckpt_row min_int max_int true (-0.0) "";
+    ckpt_row (-1) min_int false infinity "semi;colon\000nul";
+    ckpt_row 0 0 true neg_infinity "x";
+    ckpt_row 1 (-1) false 5e-324 "S3;";
+    ckpt_row max_int 42 true max_float (String.make 300 'e') ]
+
+let uniform_rows = 6000
+
+let uniform_row i =
+  ckpt_row (100_000 + i) 7 (i mod 2 = 0) 0.5 (Printf.sprintf "label-%06d" i)
+
+let long_row =
+  ckpt_row 1 2 true 0.25
+    (String.init 150_000 (fun i -> Char.chr (97 + (i mod 26))))
+
+let ckpt_state backend =
+  let schemas =
+    List.map (fun name -> Schema.make ~name ~cols:ckpt_cols) [ "E"; "U"; "L" ]
+  in
+  match
+    Database.of_tuples ~backend schemas
+      [ ("E", edge_rows); ("U", List.init uniform_rows uniform_row);
+        ("L", [ long_row ]) ]
+  with
+  | Ok db -> db
+  | Error e -> Alcotest.fail e
+
+let ckpt_pins =
+  [ (Relation.List_backend, "332a874deb82c3887ab8e62df8cb8fb6");
+    (Relation.Avl_backend, "da1d9b99364d450b603406d13382a89f");
+    (Relation.Two3_backend, "ce49aab3277f513797481025f0812660");
+    (Relation.Btree_backend 8, "6745ce3f7fec9dd71b8b7504f3c04068");
+    (Relation.Column_backend 8, "0f356590187d9bdf0538351bfaabc52d") ]
+
+(* A tuple's bytes, spelled out apart from the encoder. *)
+let tuple_bytes tup =
+  let int n = string_of_int n ^ ";" in
+  let str s = int (String.length s) ^ s in
+  String.concat ""
+    (int (Tuple.arity tup)
+    :: List.map
+         (function
+           | Value.Int n -> "I" ^ int n
+           | Value.Str s -> "S" ^ str s
+           | Value.Bool b -> "B" ^ int (if b then 1 else 0)
+           | Value.Real r -> "R" ^ str (Printf.sprintf "%h" r))
+         (Array.to_list tup))
+
+let find_sub s sub =
+  let m = String.length sub in
+  let rec matches i j = j = m || (s.[i + j] = sub.[j] && matches i (j + 1)) in
+  let rec go i =
+    if i + m > String.length s then Alcotest.fail "tuple bytes not found"
+    else if matches i 0 then i
+    else go (i + 1)
+  in
+  go 0
+
+(* Every chunk boundary of [frame] falls strictly inside a tuple: one of
+   the uniform rows (which start every [lu] bytes from the first) or the
+   long row. *)
+let check_straddles name frame =
+  let lu = String.length (tuple_bytes (uniform_row 0)) in
+  for i = 1 to uniform_rows - 1 do
+    if String.length (tuple_bytes (uniform_row i)) <> lu then
+      Alcotest.fail "uniform rows differ in length"
+  done;
+  let u = find_sub frame (tuple_bytes (uniform_row 0)) in
+  let long = tuple_bytes long_row in
+  let l = find_sub frame (String.sub long 0 64) in
+  let inside start len p = start < p && p < start + len in
+  let k = ref 1 in
+  while Wire.frame_overhead + (!k * Wire.chunk_size) < String.length frame do
+    let p = Wire.frame_overhead + (!k * Wire.chunk_size) in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: a tuple straddles chunk end %d" name !k)
+      true
+      ((inside u (uniform_rows * lu) p && (p - u) mod lu <> 0)
+      || inside l (String.length long) p);
+    incr k
+  done;
+  Alcotest.(check bool) (name ^ ": several chunks") true (!k > 4)
+
+let test_checkpoint_frames_pinned () =
+  List.iter
+    (fun (backend, pin) ->
+      let name = Relation.backend_name backend in
+      let db = ckpt_state backend in
+      let md5 s = Digest.to_hex (Digest.string s) in
+      let mem = Wal.Mem.create () in
+      let store = Wal.Mem.store mem in
+      let w = Wal.create ~store db in
+      let frame = Wal.Mem.get mem (Wal.segment_name 0) in
+      Alcotest.(check string) (name ^ ": frame bytes") pin (md5 frame);
+      check_straddles name frame;
+      (match Wire.read_frame frame ~pos:0 with
+      | Wire.Frame { kind = Wire.Checkpoint; payload; next } ->
+          Alcotest.(check int) (name ^ ": one frame") (String.length frame) next;
+          let (upto, pos) = Wire.read_int payload ~pos:0 in
+          Alcotest.(check int) (name ^ ": covered version") 0 upto;
+          let (h, _) = Wire.decode_archive_sub payload ~pos in
+          Alcotest.(check bool) (name ^ ": decoded") true
+            (Oracle.db_equal db (History.latest h))
+      | _ -> Alcotest.fail (name ^ ": not an intact checkpoint frame"));
+      (* the next checkpoint rewrites the writer's chunks in place *)
+      Wal.checkpoint w;
+      Alcotest.(check string) (name ^ ": reused chunks") pin
+        (md5 (Wal.Mem.get mem (Wal.segment_name 1)));
+      let r = Wal.recover store in
+      Alcotest.(check bool) (name ^ ": recovered") true
+        (r.Wal.stop = Wal.Clean && r.Wal.base = 0 && r.Wal.upto = 0
+        && Oracle.db_equal db (History.latest r.Wal.rhistory)))
+    ckpt_pins
+
 let () =
   Alcotest.run "wire"
     [
@@ -514,6 +673,7 @@ let () =
         [
           Alcotest.test_case "edge ints roundtrip" `Quick test_int_roundtrip;
           QCheck_alcotest.to_alcotest prop_int_digits;
+          Alcotest.test_case "nested encoders" `Quick test_nested_encoders;
         ] );
       ( "frames",
         [
@@ -522,6 +682,8 @@ let () =
           Alcotest.test_case "prefixes torn" `Quick test_frame_prefixes_torn;
           Alcotest.test_case "bitflips torn" `Quick test_frame_bitflips_torn;
           Alcotest.test_case "format-1 frame torn" `Quick test_frame_format1_torn;
+          Alcotest.test_case "multi-chunk checkpoints pinned" `Quick
+            test_checkpoint_frames_pinned;
         ] );
       ( "archive",
         [
