@@ -76,9 +76,10 @@ let crc32c s = Int32.of_int (crc_finish (crc_feed crc_init s 0 (String.length s)
    Every payload is written by one encoder straight into fixed-size chunks.
    A tuple costs one capacity check against an upper bound on its encoded
    length and is then written with no further checks; a tuple that would
-   cross the end of its chunk is written into a small staging area and
-   copied across; a string longer than the staging area is copied in
-   pieces, spanning as many chunks as it needs.  A frame's checksum is fed
+   cross the end of its chunk is written value by value, and a value that
+   would cross it is written into a small staging area and copied across;
+   a string longer than the staging area is copied in pieces, spanning as
+   many chunks as it needs.  A frame's checksum is fed
    each chunk as it fills, while the chunk is still in cache.
 
    Chunks come from a per-domain pool that holds them weakly: the next
@@ -108,49 +109,9 @@ let tuple_bound tup =
   !n
 
 (* [put_*] write at [pos] with no capacity check and return the position
-   just past what they wrote; the caller has checked the bound.
-
-   A magnitude below [small] (2^30, which holds every key, length and
-   count a payload carries in practice) is written two digits per step
-   from the back, and below [small] [x / 100] is [(x * 42949673) lsr 32]
-   exactly (the product stays under 2^56): a multiply where a division
-   would cost tens of cycles.  Any other int takes [put_digits], one
-   division per digit from the non-positive magnitude, which holds
-   [min_int] too. *)
-let small = 0x40000000
-
-let digit_pairs =
-  String.init 200 (fun i ->
-      Char.unsafe_chr
-        (Char.code '0' + if i land 1 = 0 then i / 20 else i / 2 mod 10))
-
-let ndigits x =
-  if x < 10 then 1
-  else if x < 100 then 2
-  else if x < 1_000 then 3
-  else if x < 10_000 then 4
-  else if x < 100_000 then 5
-  else if x < 1_000_000 then 6
-  else if x < 10_000_000 then 7
-  else if x < 100_000_000 then 8
-  else if x < 1_000_000_000 then 9
-  else 10
-
-(* [0 <= x < small] *)
-let put_small b pos x =
-  let stop = pos + ndigits x in
-  let i = ref stop and x = ref x in
-  while !x >= 10 do
-    let q = (!x * 42949673) lsr 32 in
-    let r = 2 * (!x - (q * 100)) in
-    i := !i - 2;
-    Bytes.unsafe_set b !i (String.unsafe_get digit_pairs r);
-    Bytes.unsafe_set b (!i + 1) (String.unsafe_get digit_pairs (r + 1));
-    x := q
-  done;
-  if !i > pos then Bytes.unsafe_set b pos (Char.unsafe_chr (Char.code '0' + !x));
-  stop
-
+   just past what they wrote; the caller has checked the bound.  An int's
+   digits come from its non-positive magnitude, which holds [min_int]
+   too. *)
 let rec put_digits b pos m =
   let pos = if m <= -10 then put_digits b pos (m / 10) else pos in
   Bytes.unsafe_set b pos (Char.unsafe_chr (Char.code '0' - (m mod 10)));
@@ -158,11 +119,10 @@ let rec put_digits b pos m =
 
 let put_int b pos n =
   let pos =
-    if n >= 0 then if n < small then put_small b pos n else put_digits b pos (-n)
+    if n >= 0 then put_digits b pos (-n)
     else begin
       Bytes.unsafe_set b pos '-';
-      if n > -small then put_small b (pos + 1) (-n)
-      else put_digits b (pos + 1) n
+      put_digits b (pos + 1) n
     end
   in
   Bytes.unsafe_set b pos ';';
@@ -306,7 +266,6 @@ let w_value e = function
 let w_tuple e tup =
   let bound = tuple_bound tup in
   if e.pos + bound <= chunk_size then e.pos <- put_tuple e.buf e.pos tup
-  else if bound <= stage_size then unstage e (put_tuple e.stage 0 tup)
   else begin
     w_int e (Array.length tup);
     Array.iter (w_value e) tup

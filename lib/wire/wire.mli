@@ -61,7 +61,7 @@ val read_frame : string -> pos:int -> frame_result
 
     Every payload is written by one encoder straight into fixed-size
     chunks of {!chunk_size} bytes: one capacity check per tuple, a small
-    staging area for a tuple that crosses a chunk end, and a string
+    staging area for a value that crosses a chunk end, and a string
     longer than a chunk spread over as many chunks as it needs.  A frame's
     CRC32c is fed each chunk as it fills.  The chunks come from a
     per-domain pool that holds them weakly: the next payload encoded on
