@@ -947,9 +947,11 @@ let par_cmd =
          indexes coherent and lockstep under the indexed legs@."
         sweep;
       Format.printf
-        "pool: %d domains, %d tasks executed cumulatively, %d stolen@."
+        "pool: %d domains, %d tasks executed cumulatively (%d by the \
+         waiting caller), %d stolen@."
         stats.domains
         (Array.fold_left ( + ) 0 stats.executed)
+        stats.executed.(stats.domains)
         stats.steals;
       print_metrics ()
     end

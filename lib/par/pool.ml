@@ -5,7 +5,10 @@
    task's home site to a processing element.  An idle worker first drains
    its own deque from the front (oldest local work first, preserving
    flood order), then steals from the back of its neighbours' deques, and
-   only then parks on the pool's condition variable.
+   only then parks on the pool's condition variable.  A domain blocked in
+   [wait] helps the same way, as Rediflow's dispatching element also takes
+   ready tasks: it runs queued tasks, oldest first from the front of each
+   deque in turn, and parks only once nothing is left to take.
 
    The pool makes no determinism promise about execution order — that is
    the deterministic engine's job.  Callers get determinism of *results*
@@ -73,6 +76,7 @@ type t = {
   mutable stopping : bool;  (* under [park] *)
   mutable first_error : exn option;  (* under [park] *)
   executed : int array;  (* per worker, own slot only *)
+  helped : int Atomic.t;  (* tasks run by domains blocked in [wait] *)
   steals : int Atomic.t;
   mutable workers : unit Domain.t array;
 }
@@ -117,14 +121,18 @@ let record_error pool exn =
   if pool.first_error = None then pool.first_error <- Some exn;
   Mutex.unlock pool.park
 
+(* The bookkeeping every taken task gets, whichever domain runs it. *)
+let run pool task =
+  Atomic.decr pool.queued;
+  (try task () with exn -> record_error pool exn);
+  complete pool
+
 let worker pool me () =
   let rec loop () =
     match try_take pool me with
     | Some task ->
-        Atomic.decr pool.queued;
         pool.executed.(me) <- pool.executed.(me) + 1;
-        (try task () with exn -> record_error pool exn);
-        complete pool;
+        run pool task;
         loop ()
     | None ->
         Mutex.lock pool.park;
@@ -162,6 +170,7 @@ let create ?domains () =
       stopping = false;
       first_error = None;
       executed = Array.make n 0;
+      helped = Atomic.make 0;
       steals = Atomic.make 0;
       workers = [||];
     }
@@ -183,7 +192,36 @@ let submit pool ~site task =
   Condition.signal pool.work_cond;
   Mutex.unlock pool.park
 
+(* The oldest task at the front of any deque, scanning from deque 0. *)
+let take_oldest pool =
+  let rec scan i =
+    if i >= pool.n then None
+    else begin
+      Mutex.lock pool.locks.(i);
+      let x = Deque.pop_front pool.deques.(i) in
+      Mutex.unlock pool.locks.(i);
+      match x with Some _ -> x | None -> scan (i + 1)
+    end
+  in
+  scan 0
+
 let wait pool =
+  let rec help () =
+    match take_oldest pool with
+    | Some task ->
+        Atomic.incr pool.helped;
+        run pool task;
+        help ()
+    | None ->
+        (* [queued] rises before the push in [submit]: rescan until the
+           task lands, or until a worker has taken it. *)
+        if Atomic.get pool.queued > 0 && Atomic.get pool.unfinished > 0
+        then begin
+          Domain.cpu_relax ();
+          help ()
+        end
+  in
+  help ();
   Mutex.lock pool.park;
   while Atomic.get pool.unfinished > 0 do
     Condition.wait pool.done_cond pool.park
@@ -196,7 +234,7 @@ let wait pool =
 let stats pool =
   {
     domains = pool.n;
-    executed = Array.copy pool.executed;
+    executed = Array.append pool.executed [| Atomic.get pool.helped |];
     steals = Atomic.get pool.steals;
   }
 

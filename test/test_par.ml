@@ -151,6 +151,72 @@ let test_pool_steals_imbalanced_load () =
       Alcotest.(check bool) "steals counted when others executed" true
         (s.Pool.steals >= off_home && off_home >= 0))
 
+(* A waiting caller runs queued tasks itself.  On a 1-worker pool, A spins
+   until B has run, and both sit on site 0's deque: a caller that only
+   parks leaves A to spin out its 2-s bound on the worker, with B queued
+   behind it.  Whichever domain takes A, the other must take B. *)
+let spin_until ?(bound = 2.0) flag =
+  let deadline = Unix.gettimeofday () +. bound in
+  while (not (Atomic.get flag)) && Unix.gettimeofday () < deadline do
+    Domain.cpu_relax ()
+  done;
+  Atomic.get flag
+
+let test_pool_caller_helps () =
+  Pool.with_pool ~domains:1 (fun pool ->
+      let flag = Atomic.make false and a_saw = Atomic.make false in
+      Pool.submit pool ~site:0 (fun () -> Atomic.set a_saw (spin_until flag));
+      Pool.submit pool ~site:0 (fun () -> Atomic.set flag true);
+      Pool.wait pool;
+      Alcotest.(check bool) "A saw B's flag" true (Atomic.get a_saw);
+      let (s : Pool.stats) = Pool.stats pool in
+      Alcotest.(check int) "one worker slot plus the caller's" 2
+        (Array.length s.Pool.executed);
+      Alcotest.(check int) "executed sums to the submissions" 2
+        (Array.fold_left ( + ) 0 s.Pool.executed))
+
+(* Hold a 1-worker pool's only worker in a task until [release] is set, so
+   every task submitted meanwhile is left to the caller's [wait]. *)
+let occupy_worker pool =
+  let started = Atomic.make false and release = Atomic.make false in
+  Pool.submit pool ~site:0 (fun () ->
+      Atomic.set started true;
+      ignore (spin_until release));
+  ignore (spin_until started);
+  release
+
+exception Boom_n of int
+
+let test_pool_caller_errors () =
+  Pool.with_pool ~domains:1 (fun pool ->
+      let release = occupy_worker pool in
+      Pool.submit pool ~site:0 (fun () -> raise (Boom_n 1));
+      Pool.submit pool ~site:0 (fun () -> raise (Boom_n 2));
+      Pool.submit pool ~site:0 (fun () -> Atomic.set release true);
+      Alcotest.check_raises "the caller's first error wins" (Boom_n 1)
+        (fun () -> Pool.wait pool);
+      let (s : Pool.stats) = Pool.stats pool in
+      Alcotest.(check (array int)) "the caller ran all three" [| 1; 3 |]
+        s.Pool.executed;
+      let r = ref 0 in
+      Pool.submit pool ~site:0 (fun () -> r := 1);
+      Pool.wait pool;
+      Alcotest.(check int) "a later batch runs" 1 !r)
+
+let test_pool_shutdown_after_help () =
+  let pool = Pool.create ~domains:1 () in
+  let release = occupy_worker pool in
+  let hits = Atomic.make 0 in
+  for _ = 1 to 10 do
+    Pool.submit pool ~site:0 (fun () -> Atomic.incr hits)
+  done;
+  Pool.submit pool ~site:0 (fun () -> Atomic.set release true);
+  Pool.wait pool;
+  Alcotest.(check int) "the caller ran the batch" 11
+    (Pool.stats pool).Pool.executed.(1);
+  Pool.shutdown pool;
+  Alcotest.(check int) "every task ran" 10 (Atomic.get hits)
+
 let test_pool_rejects_bad_sizes () =
   Alcotest.check_raises "0 domains"
     (Invalid_argument "Pool.create: domains must be in 1..128") (fun () ->
@@ -536,6 +602,12 @@ let () =
             test_pool_steals_imbalanced_load;
           Alcotest.test_case "argument validation" `Quick
             test_pool_rejects_bad_sizes;
+          Alcotest.test_case "a waiting caller runs queued tasks" `Quick
+            test_pool_caller_helps;
+          Alcotest.test_case "a helped task's error reaches wait" `Quick
+            test_pool_caller_errors;
+          Alcotest.test_case "shutdown after a helped wait" `Quick
+            test_pool_shutdown_after_help;
         ] );
       ( "metrics",
         [
