@@ -169,7 +169,10 @@ type executor =
           and the reader contract of a logical update view.  With [index],
           writes maintain the session's indexes inline and each read is
           planned through a frozen copy of the session captured at its
-          dispatch.  When a trace sink is installed
+          dispatch.  Once every transaction is dispatched, the
+          dispatching domain runs queued reads itself in
+          {!Fdb_par.Pool.wait}, so a pool of [n] workers answers reads on
+          [n + 1] domains.  When a trace sink is installed
           ({!Fdb_obs.Trace.enabled}) reads run inline too — the sink is
           not domain-safe. *)
   | Repair of {
@@ -181,7 +184,10 @@ type executor =
           ({!Fdb_repair.Exec}): the stream is cut into batches of [batch]
           queries; each runs all its transactions in parallel against the
           batch-entry version and repairs footprint conflicts to the serial
-          fixpoint.  [index] is threaded through every batch as in
+          fixpoint.  Each round's transactions are pool tasks, and the
+          coordinating domain runs its share of them in
+          {!Fdb_par.Pool.wait}; traced runs execute them inline.  [index]
+          is threaded through every batch as in
           {!Fdb_repair.Exec.run_batch}: speculative reads go through the
           indexes, commits advance them at the serial commit point. *)
   | Sharded of { shards : int }

@@ -83,24 +83,24 @@ type t = {
 
 type stats = { domains : int; executed : int array; steals : int }
 
+let take pool i ~front =
+  Mutex.lock pool.locks.(i);
+  let x =
+    if front then Deque.pop_front pool.deques.(i)
+    else Deque.pop_back pool.deques.(i)
+  in
+  Mutex.unlock pool.locks.(i);
+  x
+
 let try_take pool me =
   (* Own deque from the front; then steal from the back, nearest first. *)
-  let take i ~front =
-    Mutex.lock pool.locks.(i);
-    let x =
-      if front then Deque.pop_front pool.deques.(i)
-      else Deque.pop_back pool.deques.(i)
-    in
-    Mutex.unlock pool.locks.(i);
-    x
-  in
-  match take me ~front:true with
+  match take pool me ~front:true with
   | Some _ as t -> t
   | None ->
       let rec scan k =
         if k >= pool.n then None
         else
-          match take ((me + k) mod pool.n) ~front:false with
+          match take pool ((me + k) mod pool.n) ~front:false with
           | Some _ as t ->
               Atomic.incr pool.steals;
               Fdb_obs.Metrics.incr m_steals;
@@ -192,36 +192,19 @@ let submit pool ~site task =
   Condition.signal pool.work_cond;
   Mutex.unlock pool.park
 
-(* The oldest task at the front of any deque, scanning from deque 0. *)
-let take_oldest pool =
-  let rec scan i =
-    if i >= pool.n then None
-    else begin
-      Mutex.lock pool.locks.(i);
-      let x = Deque.pop_front pool.deques.(i) in
-      Mutex.unlock pool.locks.(i);
-      match x with Some _ -> x | None -> scan (i + 1)
-    end
-  in
-  scan 0
-
 let wait pool =
-  let rec help () =
-    match take_oldest pool with
-    | Some task ->
-        Atomic.incr pool.helped;
-        run pool task;
-        help ()
-    | None ->
-        (* [queued] rises before the push in [submit]: rescan until the
-           task lands, or until a worker has taken it. *)
-        if Atomic.get pool.queued > 0 && Atomic.get pool.unfinished > 0
-        then begin
-          Domain.cpu_relax ();
-          help ()
-        end
+  (* Run queued tasks, oldest first from the front of each deque in turn;
+     park only once none is left to take. *)
+  let rec help i =
+    if i < pool.n then
+      match take pool i ~front:true with
+      | Some task ->
+          Atomic.incr pool.helped;
+          run pool task;
+          help i
+      | None -> help (i + 1)
   in
-  help ();
+  help 0;
   Mutex.lock pool.park;
   while Atomic.get pool.unfinished > 0 do
     Condition.wait pool.done_cond pool.park
