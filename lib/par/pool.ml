@@ -193,8 +193,6 @@ let submit pool ~site task =
   Mutex.unlock pool.park
 
 let wait pool =
-  (* Run queued tasks, oldest first from the front of each deque in turn;
-     park only once none is left to take. *)
   let rec help i =
     if i < pool.n then
       match take pool i ~front:true with

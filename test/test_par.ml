@@ -151,17 +151,18 @@ let test_pool_steals_imbalanced_load () =
       Alcotest.(check bool) "steals counted when others executed" true
         (s.Pool.steals >= off_home && off_home >= 0))
 
-(* A waiting caller runs queued tasks itself.  On a 1-worker pool, A spins
-   until B has run, and both sit on site 0's deque: a caller that only
-   parks leaves A to spin out its 2-s bound on the worker, with B queued
-   behind it.  Whichever domain takes A, the other must take B. *)
-let spin_until ?(bound = 2.0) flag =
-  let deadline = Unix.gettimeofday () +. bound in
+(* Spin until [flag] is set, for at most 2 s; whether it was set. *)
+let spin_until flag =
+  let deadline = Unix.gettimeofday () +. 2.0 in
   while (not (Atomic.get flag)) && Unix.gettimeofday () < deadline do
     Domain.cpu_relax ()
   done;
   Atomic.get flag
 
+(* A waiting caller runs queued tasks itself.  On a 1-worker pool, A spins
+   until B has run, and both sit on site 0's deque: a caller that only
+   parks leaves A to spin out its bound on the worker, with B queued
+   behind it.  Whichever domain takes A, the other must take B. *)
 let test_pool_caller_helps () =
   Pool.with_pool ~domains:1 (fun pool ->
       let flag = Atomic.make false and a_saw = Atomic.make false in
