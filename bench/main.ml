@@ -321,18 +321,23 @@ let recover () =
   Printf.printf
     "primary killed after its 12th commit (3 clients x 10 queries, drop \
      1/5);\nmeans over 8 seeds; interval 0 = no checkpoints, replay the \
-     whole log\n\n";
+     whole log;\ntuples = initial tuples per relation, keys drawn from \
+     max (tuples, 12)\n\n";
   let seeds = [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
-  Printf.printf "%9s %10s %10s %10s %12s\n" "interval" "recovery" "replayed"
-    "suffix" "ckpt-bytes";
+  Printf.printf "%7s %9s %10s %10s %10s %12s\n" "tuples" "interval" "recovery"
+    "replayed" "suffix" "ckpt-bytes";
   List.iter
-    (fun interval ->
+    (fun (tuples, interval) ->
       let (n, rec_t, rep, suf, bytes) =
         List.fold_left
           (fun (n, rec_t, rep, suf, bytes) seed ->
             let sc =
               Gen.generate
-                { Gen.default_spec with Gen.seed; queries_per_client = 10 }
+                { Gen.default_spec with
+                  Gen.seed;
+                  queries_per_client = 10;
+                  initial_tuples = tuples;
+                  key_range = max tuples Gen.default_spec.key_range }
             in
             let config =
               { Replica.default_config with
@@ -352,9 +357,12 @@ let recover () =
           (0, 0, 0, 0, 0) seeds
       in
       let mean x = float_of_int x /. float_of_int n in
-      Printf.printf "%9d %10.1f %10.1f %10.1f %12.1f\n" interval (mean rec_t)
-        (mean rep) (mean suf) (mean bytes))
-    [ 1; 2; 5; 10; 20; 0 ];
+      Printf.printf "%7d %9d %10.1f %10.1f %10.1f %12.1f\n" tuples interval
+        (mean rec_t) (mean rep) (mean suf) (mean bytes))
+    (List.map
+       (fun i -> (Gen.default_spec.initial_tuples, i))
+       [ 1; 2; 5; 10; 20; 0 ]
+    @ [ (1000, 1); (1000, 5) ]);
   Printf.printf
     "\ncheckpoint wire cost: delta encoding vs every version in full\n";
   Printf.printf "%9s %12s %12s %8s\n" "versions" "delta" "naive" "ratio";
@@ -370,7 +378,14 @@ let recover () =
           (List.concat sc.Gen.streams)
       in
       let delta = String.length (Snapshot.encode h) in
-      let naive = String.length (Snapshot.encode_naive h) in
+      (* the control: each version shipped in full, on its own *)
+      let naive = ref 0 in
+      for i = 0 to History.length h - 1 do
+        naive :=
+          !naive
+          + String.length (Snapshot.encode (History.create (History.version h i)))
+      done;
+      let naive = !naive in
       Printf.printf "%9d %12d %12d %7.1fx\n" (History.length h) delta naive
         (float_of_int naive /. float_of_int delta))
     [ 4; 8; 16; 32 ]

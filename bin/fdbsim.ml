@@ -721,7 +721,7 @@ let recover_cmd =
     Term.(
       const go
       $ scenario "recover" ~txns:(txns 6) ~relations:(relations 2)
-          ~tuples:(tuples 6)
+          ~tuples:(tuples 6) ~key_range:(key_range 12)
       $ sweep 50 $ ckpt $ drop $ verbose)
 
 (* -- trace: capture a failover run as Chrome trace_event JSON ------------------- *)

@@ -361,8 +361,6 @@ module Make (Row : Row) = struct
     done;
     (!shared, Array.length nc)
 
-  let chunks_cols t = Array.map (fun c -> c.cols) t.chunks
-
   let invariant t =
     let ok = ref true in
     let total = ref 0 in

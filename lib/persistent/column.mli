@@ -111,11 +111,6 @@ module Make (Row : Row) : sig
   (** [(shared, total)] over the new version's chunks — physical identity,
       measured by a merge walk over the two sorted spines. *)
 
-  val chunks_cols : t -> Row.field array array array
-  (** The raw per-chunk column arrays, ascending: element [ci] is chunk
-      [ci]'s columns, [cols.(j).(i)] the field [j] of its row [i].  Shared
-      with the store — callers must not mutate.  For serializers. *)
-
   val invariant : t -> bool
   (** Chunk occupancy in [1, capacity], consistent column lengths and
       widths, keys strictly ascending within and across chunks, size

@@ -291,8 +291,6 @@ let apply_diff r changes =
   in
   List.fold_left step (Ok r) changes
 
-let column_chunks r = match r.repr with C c -> CO.chunks_cols c | _ -> [||]
-
 let pp ppf r =
   Format.fprintf ppf "@[<v>%a [%s, %d tuples]@]" Schema.pp r.schema
     (backend_name r.back) (size r)

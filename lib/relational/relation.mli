@@ -118,12 +118,4 @@ val apply_diff :
     [Error] on a tuple that does not match the schema or whose key is not
     its change key. *)
 
-val column_chunks : t -> Value.t array array array
-(** The packed per-chunk column arrays of a {!constructor:Column_backend}
-    relation, ascending: element [ci] is chunk [ci]'s columns,
-    [cols.(j).(i)] the value of column [j] in its row [i].  Shared with
-    the relation — callers must not mutate.  [[||]] for other backends
-    (indistinguishable from an empty column relation; callers dispatch on
-    {!val:backend} first). *)
-
 val pp : Format.formatter -> t -> unit

@@ -3,12 +3,9 @@ module Wire = Fdb_wire.Wire
 (* The codec itself lives in {!Fdb_wire.Wire} — one format for network and
    disk.  A snapshot is exactly one Checkpoint frame: the frame header
    carries the length, format version and CRC32c, the payload is the
-   delta-encoded archive. *)
+   archive: version 0 in full, then key-level deltas. *)
 
 let encode history = Wire.frame ~kind:Wire.Checkpoint (Wire.encode_archive history)
-
-let encode_naive history =
-  Wire.frame ~kind:Wire.Checkpoint (Wire.encode_archive ~changed_only:false history)
 
 let corrupt offset reason = raise (Wire.Corrupt { offset; reason })
 

@@ -418,99 +418,6 @@ let r_relation_body r ~backend schema =
   | Ok rel -> rel
   | Error m -> corrupt at "bad relation body: %s" m
 
-(* -- archive payloads ------------------------------------------------------- *)
-
-let magic = "FDBSNAP1"
-
-let write_archive ?(changed_only = true) e history =
-  w_raw e magic;
-  let n = History.length history in
-  let v0 = History.version history 0 in
-  let slots0 = Database.slots v0 in
-  w_int e n;
-  w_int e (List.length slots0);
-  List.iter
-    (fun (_, rel) ->
-      w_schema e (Relation.schema rel);
-      w_backend e (Relation.backend rel))
-    slots0;
-  (* version 0: everything *)
-  List.iter (fun (_, rel) -> w_relation_body e rel) slots0;
-  (* later versions: indices of replaced slots, then their bodies *)
-  for i = 1 to n - 1 do
-    let after = History.version history i in
-    let changed =
-      if changed_only then
-        List.map
-          (fun (idx, _, _, rel) -> (idx, rel))
-          (Database.changed_slots ~old:(History.version history (i - 1)) after)
-      else List.mapi (fun idx (_, rel) -> (idx, rel)) (Database.slots after)
-    in
-    w_int e (List.length changed);
-    List.iter
-      (fun (idx, rel) ->
-        w_int e idx;
-        w_relation_body e rel)
-      changed
-  done
-
-let encode_archive ?changed_only history =
-  encode (fun e -> write_archive ?changed_only e history)
-
-let decode_archive_sub src ~pos =
-  let r = { src; pos } in
-  if
-    pos + String.length magic > String.length src
-    || String.sub src pos (String.length magic) <> magic
-  then corrupt pos "bad magic";
-  r.pos <- pos + String.length magic;
-  let nversions = r_int r in
-  if nversions < 1 then corrupt pos "empty archive";
-  let nrelations = r_int r in
-  if nrelations < 0 then corrupt pos "bad relation count %d" nrelations;
-  let headers =
-    Array.init nrelations (fun _ ->
-        let schema = r_schema r in
-        let backend = r_backend r in
-        (schema, backend))
-  in
-  let schemas = Array.to_list (Array.map fst headers) in
-  let v0 =
-    Array.fold_left
-      (fun db (schema, backend) ->
-        Database.replace db (Schema.name schema)
-          (r_relation_body r ~backend schema))
-      (Database.create schemas) headers
-  in
-  let history = ref (History.create v0) in
-  let current = ref v0 in
-  for _ = 1 to nversions - 1 do
-    let at = r.pos in
-    let nchanged = r_int r in
-    if nchanged < 0 || nchanged > nrelations then
-      corrupt at "bad change count %d" nchanged;
-    let db = ref !current in
-    for _ = 1 to nchanged do
-      let iat = r.pos in
-      let idx = r_int r in
-      if idx < 0 || idx >= nrelations then
-        corrupt iat "bad relation index %d" idx;
-      let (schema, backend) = headers.(idx) in
-      db :=
-        Database.replace !db (Schema.name schema)
-          (r_relation_body r ~backend schema)
-    done;
-    current := !db;
-    history := History.append !history !db
-  done;
-  (!history, r.pos)
-
-let decode_archive src =
-  let (history, next) = decode_archive_sub src ~pos:0 in
-  if next <> String.length src then
-    corrupt next "trailing bytes after archive";
-  history
-
 (* -- single-version deltas ----------------------------------------------------
 
    A delta is one commit's key-level changes, sized by what the commit did
@@ -596,41 +503,82 @@ let decode_version ~prev src =
   if next <> String.length src then corrupt next "trailing bytes after delta";
   db
 
-(* -- chunked column payloads -------------------------------------------------
+(* -- archive payloads -------------------------------------------------------
 
-   A whole relation as a header frame plus one frame per chunk, the chunk
-   bodies column-major and typed by the schema (no per-value tags — the
-   column layout pays for itself on the wire).  A [Column_backend] relation
-   serializes its actual chunks; any other backend is packed into fixed
-   256-row runs, so the format is backend-agnostic. *)
+   A history as one header, version 0's relations in full, and each later
+   version as its delta against the one before:
 
-let column_magic = "FDBCOL1"
+     archive := magic nversions ';' nrelations ';' (schema backend)*
+                body* delta*                     (nversions - 1 deltas)
+     body    := ntuples ';' tuple*
 
-let generic_chunk_rows = 256
+   Decoding applies each delta to its decoded predecessor, so consecutive
+   decoded versions share every slot and every page the source's did not
+   rewrite. *)
 
-let w_col_value e ctype v =
-  match (ctype, v) with
-  | (Schema.CInt, Value.Int n) -> w_int e n
-  | (Schema.CStr, Value.Str s) -> w_str e s
-  | (Schema.CBool, Value.Bool v) -> w_char e (if v then '1' else '0')
-  | (Schema.CReal, Value.Real v) -> w_str e (real_repr v)
-  | _ -> invalid_arg "Wire.encode_chunked: value does not match its column"
+let magic = "FDBSNAP1"
 
-let r_col_value r ctype =
-  match ctype with
-  | Schema.CInt -> Value.Int (r_int r)
-  | Schema.CStr -> Value.Str (r_str r)
-  | Schema.CBool -> (
-      let at = r.pos in
-      match r_char r with
-      | '0' -> Value.Bool false
-      | '1' -> Value.Bool true
-      | c -> corrupt at "bad packed bool %C" c)
-  | Schema.CReal -> (
-      let at = r.pos in
-      match float_of_string_opt (r_str r) with
-      | Some f -> Value.Real f
-      | None -> corrupt at "bad packed float")
+let write_archive e history =
+  w_raw e magic;
+  let n = History.length history in
+  let v0 = History.version history 0 in
+  let slots0 = Database.slots v0 in
+  w_int e n;
+  w_int e (List.length slots0);
+  List.iter
+    (fun (_, rel) ->
+      w_schema e (Relation.schema rel);
+      w_backend e (Relation.backend rel))
+    slots0;
+  List.iter (fun (_, rel) -> w_relation_body e rel) slots0;
+  for i = 1 to n - 1 do
+    write_version e
+      ~prev:(History.version history (i - 1))
+      (History.version history i)
+  done
+
+let encode_archive history = encode (fun e -> write_archive e history)
+
+let decode_archive_sub src ~pos =
+  let r = { src; pos } in
+  if
+    pos + String.length magic > String.length src
+    || String.sub src pos (String.length magic) <> magic
+  then corrupt pos "bad magic";
+  r.pos <- pos + String.length magic;
+  let nversions = r_int r in
+  if nversions < 1 then corrupt pos "empty archive";
+  let nrelations = r_int r in
+  if nrelations < 0 then corrupt pos "bad relation count %d" nrelations;
+  let headers =
+    List.init nrelations (fun _ ->
+        let schema = r_schema r in
+        let backend = r_backend r in
+        (schema, backend))
+  in
+  let v0 =
+    List.fold_left
+      (fun db (schema, backend) ->
+        Database.replace db (Schema.name schema)
+          (r_relation_body r ~backend schema))
+      (Database.create (List.map fst headers))
+      headers
+  in
+  let history = ref (History.create v0) in
+  for _ = 1 to nversions - 1 do
+    let (db, next) =
+      decode_version_sub ~prev:(History.latest !history) src ~pos:r.pos
+    in
+    r.pos <- next;
+    history := History.append !history db
+  done;
+  (!history, r.pos)
+
+let decode_archive src =
+  let (history, next) = decode_archive_sub src ~pos:0 in
+  if next <> String.length src then
+    corrupt next "trailing bytes after archive";
+  history
 
 (* -- frames ------------------------------------------------------------------
 
@@ -743,105 +691,3 @@ let read_frame src ~pos =
                     payload = String.sub src (pos + frame_overhead) plen;
                     next = pos + frame_overhead + plen;
                   }
-
-let encode_chunked rel =
-  let schema = Relation.schema rel in
-  let ctypes = Array.of_list (List.map snd (Schema.columns schema)) in
-  let ncols = Array.length ctypes in
-  let chunks =
-    match Relation.backend rel with
-    | Relation.Column_backend _ -> Relation.column_chunks rel
-    | _ ->
-        let tuples = Array.of_list (Relation.to_list rel) in
-        let n = Array.length tuples in
-        let nchunks = (n + generic_chunk_rows - 1) / generic_chunk_rows in
-        Array.init nchunks (fun ci ->
-            let lo = ci * generic_chunk_rows in
-            let len = min generic_chunk_rows (n - lo) in
-            Array.init ncols (fun j ->
-                Array.init len (fun i -> Tuple.get tuples.(lo + i) j)))
-  in
-  let out = Buffer.create 4096 in
-  let emit = Buffer.add_string out in
-  ignore
-    (write_frame ~kind:Checkpoint
-       (fun e ->
-         w_raw e column_magic;
-         w_schema e schema;
-         w_backend e (Relation.backend rel);
-         w_int e (Array.length chunks);
-         w_int e (Relation.size rel))
-       emit);
-  Array.iter
-    (fun cols ->
-      if Array.length cols <> ncols then
-        invalid_arg "Wire.encode_chunked: chunk width differs from the schema";
-      let rows = if ncols = 0 then 0 else Array.length cols.(0) in
-      ignore
-        (write_frame ~kind:Delta
-           (fun e ->
-             w_int e rows;
-             Array.iteri
-               (fun j col ->
-                 if Array.length col <> rows then
-                   invalid_arg "Wire.encode_chunked: ragged chunk";
-                 Array.iter (w_col_value e ctypes.(j)) col)
-               cols)
-           emit))
-    chunks;
-  Buffer.contents out
-
-(* Validate the frame at [pos] (CRC) and hand back an in-place reader over
-   its payload, so [Corrupt] offsets stay absolute in [src]. *)
-let chunk_frame src ~pos ~expect =
-  match read_frame src ~pos with
-  | End_of_input -> corrupt pos "truncated chunk stream"
-  | Torn { offset; reason } -> corrupt offset "torn frame: %s" reason
-  | Frame { kind; next; _ } ->
-      if kind <> expect then corrupt pos "unexpected frame kind";
-      ({ src; pos = pos + frame_overhead }, next)
-
-let decode_chunked src =
-  let (r, next) = chunk_frame src ~pos:0 ~expect:Checkpoint in
-  let at = r.pos in
-  if
-    r.pos + String.length column_magic > String.length src
-    || String.sub src r.pos (String.length column_magic) <> column_magic
-  then corrupt at "bad magic";
-  r.pos <- r.pos + String.length column_magic;
-  let schema = r_schema r in
-  let backend = r_backend r in
-  let nchunks = r_int r in
-  if nchunks < 0 then corrupt at "bad chunk count %d" nchunks;
-  let nrows = r_int r in
-  if nrows < 0 then corrupt at "bad row count %d" nrows;
-  if r.pos <> next then corrupt r.pos "trailing bytes in chunk header";
-  let ctypes = Array.of_list (List.map snd (Schema.columns schema)) in
-  let ncols = Array.length ctypes in
-  let pos = ref next in
-  let tuples = ref [] in
-  let total = ref 0 in
-  for _ = 1 to nchunks do
-    let (r, next) = chunk_frame src ~pos:!pos ~expect:Delta in
-    let at = r.pos in
-    let rows = r_int r in
-    if rows < 0 then corrupt at "bad chunk row count %d" rows;
-    let cols =
-      Array.map (fun ctype -> Array.init rows (fun _ -> r_col_value r ctype)) ctypes
-    in
-    if r.pos <> next then corrupt r.pos "trailing bytes in chunk";
-    for i = rows - 1 downto 0 do
-      tuples := Tuple.make (List.init ncols (fun j -> cols.(j).(i))) :: !tuples
-    done;
-    total := !total + rows;
-    pos := next
-  done;
-  (match read_frame src ~pos:!pos with
-  | End_of_input -> ()
-  | Torn { offset; reason } -> corrupt offset "torn frame: %s" reason
-  | Frame _ -> corrupt !pos "trailing bytes after chunk stream");
-  if !total <> nrows then
-    corrupt !pos "row count mismatch (header %d, chunks %d)" nrows !total;
-  match Relation.of_tuples ~backend schema (List.rev !tuples) with
-  | Ok rel -> rel
-  | Error m -> corrupt 0 "bad chunked relation: %s" m

@@ -23,11 +23,11 @@
     whole relation bodies) read as {!Torn}, so an old log is rejected,
     never misread as key-level changes.
 
-    Payload codecs: a whole {!Fdb_txn.History.t} (version 0 in full, later
-    versions as changed-relation deltas exploiting structure sharing — the
-    encoding {!Fdb_replica} proved over the network) and a single-version
-    delta against a known predecessor (the WAL record), which carries only
-    the key-level changes of the relations the version replaced. *)
+    There is one relation codec: a single-version delta against a known
+    predecessor (the WAL record), which carries only the key-level changes
+    of the relations the version replaced, and an archive of a whole
+    {!Fdb_txn.History.t}, which is version 0 in full followed by one such
+    delta per later version. *)
 
 open Fdb_relational
 
@@ -97,21 +97,42 @@ val write_int : encoder -> int -> unit
     payload codecs use, exposed so layered formats (the WAL's version
     index ahead of each payload) stay in one codec. *)
 
-(** {1 Archive payloads} *)
+(** {1 Archive payloads}
 
-val encode_archive : ?changed_only:bool -> Fdb_txn.History.t -> string
-(** Delta encoding by default: version 0 full, later versions changed
-    relations only.  [~changed_only:false] writes every version in full
-    (the no-sharing control for the ablation). *)
+    {v
+      archive := "FDBSNAP1" nversions ';' nrelations ';' (schema backend)*
+                 body* delta*
+      body    := ntuples ';' tuple*
+    v}
 
-val write_archive : ?changed_only:bool -> encoder -> Fdb_txn.History.t -> unit
+    The header and version 0's relation bodies are followed by one
+    {!encode_version} delta per later version, against the version before
+    it.
+
+    Multi-version archives only travel between replica nodes of one
+    process; the only archive ever persisted is the WAL checkpoint's
+    one-version archive, which has no deltas, so its bytes are those the
+    earlier whole-relation layout wrote.  That is why {!read_frame}'s
+    version byte stays 2 and the magic stays ["FDBSNAP1"].  An archive of
+    two or more versions in the earlier layout (each later version's
+    changed relations as whole bodies) raises {!Corrupt} where a delta's
+    first change tag is expected; only a re-sent body of an empty relation
+    reads as a well-formed delta. *)
+
+val encode_archive : Fdb_txn.History.t -> string
+(** Version 0 in full, then each later version as its key-level delta
+    against its predecessor. *)
+
+val write_archive : encoder -> Fdb_txn.History.t -> unit
 (** {!encode_archive} written into an encoder. *)
 
 val decode_archive : string -> Fdb_txn.History.t
 (** Inverse of {!encode_archive}, up to physical representation inside a
-    relation (tuples are bulk-reloaded into the recorded backend); decoded
-    versions share unchanged relation slots.  Must consume the whole
-    string.
+    relation: version 0's tuples are bulk-reloaded into the recorded
+    backends, and each later version is its predecessor with its delta
+    applied ({!decode_version_sub}), so consecutive decoded versions share
+    every slot and page the delta leaves untouched.  Must consume the
+    whole string.
     @raise Corrupt on invalid input or trailing bytes. *)
 
 val decode_archive_sub : string -> pos:int -> Fdb_txn.History.t * int
@@ -157,26 +178,6 @@ val delta_key_changes : string -> pos:int -> (int * int) list
 (** [(slot index, key changes)] for each slot of the delta encoded at
     [pos], read without a base version — for inspecting a log.
     @raise Corrupt on invalid input. *)
-
-(** {1 Chunked column payloads} *)
-
-val encode_chunked : Relation.t -> string
-(** A whole relation as a self-delimiting frame stream: one
-    {!constructor:Checkpoint} header frame (schema, backend, chunk and row
-    counts) followed by one {!constructor:Delta} frame per chunk, the
-    chunk bodies packed column-major and typed by the schema — no
-    per-value tags, the column layout's compact binary form.  A
-    {!Fdb_relational.Relation.Column_backend} relation writes its actual
-    chunks; any other backend is packed into fixed 256-row runs, so the
-    format is backend-agnostic.  Each chunk rides its own CRC32c frame, so
-    torn writes and bit flips are detected per chunk. *)
-
-val decode_chunked : string -> Relation.t
-(** Inverse of {!encode_chunked}; tuples are bulk-reloaded into the
-    recorded backend (the column backend's O(n log n) pack path).  Must
-    consume the whole string.
-    @raise Corrupt on torn or truncated frames, checksum mismatch,
-    structural damage or trailing bytes. *)
 
 (** {1 Integers} *)
 

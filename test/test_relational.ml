@@ -157,7 +157,8 @@ let column_rel ?(chunk = 4) tuples =
 let test_column_chunk_sharing () =
   let tuples = List.init 32 (fun i -> tup i "v") in
   let r = column_rel tuples in
-  Alcotest.(check int) "chunks" 8 (Array.length (Relation.column_chunks r));
+  Alcotest.(check (pair int int)) "chunks" (8, 8)
+    (Relation.shared_units ~old:r r);
   (* a point insert path-copies one chunk and the spine; the rest share.
      key 100 lands in the full last chunk, which splits in half *)
   let r2 =

@@ -1,5 +1,6 @@
 (* Primary/backup replication: snapshot codec, failover, exactly-once. *)
 
+open Fdb_relational
 module Gen = Fdb_check.Gen
 module Oracle = Fdb_check.Oracle
 module Sim = Fdb_check.Sim
@@ -29,24 +30,73 @@ let test_snapshot_roundtrip () =
       (Oracle.db_equal (History.version h i) (History.version h' i))
   done
 
-let test_snapshot_naive_roundtrip () =
-  let h = build_history ~seed:5 () in
-  let h' = Snapshot.decode (Snapshot.encode_naive h) in
-  Alcotest.(check bool) "newest version equal" true
-    (Oracle.db_equal (History.latest h) (History.latest h'))
+(* The no-sharing control: every version shipped as a one-version
+   snapshot of its own. *)
+let naive_size h =
+  let n = ref 0 in
+  for i = 0 to History.length h - 1 do
+    n := !n + String.length (Snapshot.encode (History.create (History.version h i)))
+  done;
+  !n
 
 let test_snapshot_delta_exploits_sharing () =
   let h = build_history ~qpc:12 () in
   let delta = String.length (Snapshot.encode h) in
-  let naive = String.length (Snapshot.encode_naive h) in
+  let naive = naive_size h in
   Alcotest.(check bool)
     (Printf.sprintf "delta (%d) < naive (%d)" delta naive)
-    true (delta < naive);
-  (* both decode to the same archive *)
-  Alcotest.(check bool) "agree" true
-    (Oracle.db_equal
-       (History.latest (Snapshot.decode (Snapshot.encode h)))
-       (History.latest (Snapshot.decode (Snapshot.encode_naive h))))
+    true (delta < naive)
+
+(* The archive probe: one 1000-tuple btree-8 relation, one insert per
+   version. *)
+let probe_history versions =
+  let schema =
+    Schema.make ~name:"R" ~cols:[ ("key", Schema.CInt); ("val", Schema.CStr) ]
+  in
+  let tup k = Tuple.make [ Value.Int k; Value.Str (Printf.sprintf "v%d" k) ] in
+  let ok = function Ok x -> x | Error e -> Alcotest.fail e in
+  let db =
+    ok
+      (Database.of_tuples ~backend:(Relation.Btree_backend 8) [ schema ]
+         [ ("R", List.init 1000 (fun k -> tup (2 * k))) ])
+  in
+  let rec go h i =
+    if i >= versions then h
+    else
+      let (db, _) =
+        ok (Database.insert (History.latest h) ~rel:"R" (tup ((2 * i) + 1)))
+      in
+      go (History.append h db) (i + 1)
+  in
+  go (History.create db) 1
+
+(* A decoded version is its predecessor with its delta applied, so it
+   shares every page the insert did not copy. *)
+let test_snapshot_decoded_pages_shared () =
+  let h = probe_history 100 in
+  let h' = Snapshot.decode (Snapshot.encode h) in
+  let rel i = Option.get (Database.relation (History.version h' i) "R") in
+  for i = 1 to History.length h' - 1 do
+    let (s, t) = Relation.shared_units ~old:(rel (i - 1)) (rel i) in
+    Alcotest.(check bool)
+      (Printf.sprintf "v%d: %d of %d pages shared" i s t)
+      true
+      (10 * s > 9 * t)
+  done
+
+(* A 1000-version probe ships in under 200 KB and decodes to the same
+   versions. *)
+let test_snapshot_probe_size () =
+  let h = probe_history 1000 in
+  let s = Snapshot.encode h in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d bytes < 200 KB" (String.length s))
+    true
+    (String.length s < 200_000);
+  let h' = Snapshot.decode s in
+  Alcotest.(check int) "versions" 1000 (History.length h');
+  Alcotest.(check bool) "newest equal" true
+    (Oracle.db_equal (History.latest h) (History.latest h'))
 
 let test_snapshot_rejects_corruption () =
   let s = Snapshot.encode (build_history ()) in
@@ -222,10 +272,12 @@ let () =
       ( "snapshot",
         [
           Alcotest.test_case "roundtrip" `Quick test_snapshot_roundtrip;
-          Alcotest.test_case "naive roundtrip" `Quick
-            test_snapshot_naive_roundtrip;
           Alcotest.test_case "delta exploits sharing" `Quick
             test_snapshot_delta_exploits_sharing;
+          Alcotest.test_case "decoded versions share pages" `Quick
+            test_snapshot_decoded_pages_shared;
+          Alcotest.test_case "1000-version probe under 200 KB" `Quick
+            test_snapshot_probe_size;
           Alcotest.test_case "rejects corruption" `Quick
             test_snapshot_rejects_corruption;
           Alcotest.test_case "trailing-garbage offset" `Quick

@@ -202,99 +202,6 @@ let test_frame_format1_torn () =
       Alcotest.(check string) "reason" "unknown format version 1" reason
   | Wire.Frame _ | Wire.End_of_input -> Alcotest.fail "format-1 frame accepted"
 
-(* -- chunked column payloads ------------------------------------------------ *)
-
-let wide_schema =
-  Schema.make ~name:"W"
-    ~cols:
-      [ ("key", Schema.CInt); ("flag", Schema.CBool); ("ratio", Schema.CReal);
-        ("label", Schema.CStr) ]
-
-let wide_tup k =
-  Tuple.make
-    [ Value.Int k; Value.Bool (k mod 3 = 0); Value.Real (float_of_int k /. 7.0);
-      Value.Str (Printf.sprintf "row;%d\"with\nnasty bytes" k) ]
-
-let wide_rel ~backend n =
-  match Relation.of_tuples ~backend wide_schema (List.init n wide_tup) with
-  | Ok r -> r
-  | Error e -> Alcotest.fail e
-
-let chunked_backends =
-  [ Relation.Column_backend 16; Relation.Btree_backend 4;
-    Relation.List_backend; Relation.Avl_backend ]
-
-let check_rel_equal name expected actual =
-  Alcotest.(check string) (name ^ " backend")
-    (Relation.backend_name (Relation.backend expected))
-    (Relation.backend_name (Relation.backend actual));
-  Alcotest.(check int) (name ^ " size") (Relation.size expected)
-    (Relation.size actual);
-  Alcotest.(check bool) (name ^ " contents") true
-    (List.equal Tuple.equal (Relation.to_list expected)
-       (Relation.to_list actual))
-
-(* The chunked format is backend-agnostic: a column relation writes its
-   actual chunks, the others pack fixed runs — all roundtrip through the
-   same frames, every value type included. *)
-let test_chunked_roundtrip () =
-  List.iter
-    (fun backend ->
-      let name = Relation.backend_name backend in
-      let r = wide_rel ~backend 100 in
-      check_rel_equal name r (Wire.decode_chunked (Wire.encode_chunked r));
-      let empty = Relation.create ~backend wide_schema in
-      check_rel_equal (name ^ " empty") empty
-        (Wire.decode_chunked (Wire.encode_chunked empty)))
-    chunked_backends
-
-(* Every strict prefix of an encoding must raise [Corrupt] — a torn write
-   is detected, never silently decoded as a smaller relation. *)
-let test_chunked_prefixes_corrupt () =
-  let s = Wire.encode_chunked (wide_rel ~backend:(Relation.Column_backend 8) 40) in
-  for len = 0 to String.length s - 1 do
-    match Wire.decode_chunked (String.sub s 0 len) with
-    | exception Wire.Corrupt { offset; _ } ->
-        Alcotest.(check bool) "offset in bounds" true
-          (offset >= 0 && offset <= len)
-    | _ -> Alcotest.fail (Printf.sprintf "prefix %d decoded" len)
-  done
-
-(* Any single-bit flip anywhere lands on some chunk's CRC (or the header's)
-   and must raise [Corrupt]. *)
-let test_chunked_bitflips_corrupt () =
-  let s = Wire.encode_chunked (wide_rel ~backend:(Relation.Column_backend 8) 24) in
-  let b = Bytes.of_string s in
-  for i = 0 to Bytes.length b - 1 do
-    let orig = Bytes.get b i in
-    let bit = i mod 8 in
-    Bytes.set b i (Char.chr (Char.code orig lxor (1 lsl bit)));
-    (match Wire.decode_chunked (Bytes.to_string b) with
-    | exception Wire.Corrupt _ -> ()
-    | _ -> Alcotest.fail (Printf.sprintf "flip %d.%d accepted" i bit));
-    Bytes.set b i orig
-  done;
-  (* and trailing garbage after a valid stream is rejected too *)
-  match Wire.decode_chunked (Bytes.to_string b ^ "x") with
-  | exception Wire.Corrupt _ -> ()
-  | _ -> Alcotest.fail "trailing byte accepted"
-
-let prop_chunked_roundtrip =
-  QCheck2.Test.make ~name:"chunked codec roundtrips any relation" ~count:100
-    QCheck2.Gen.(
-      pair (list_size (int_range 0 80) (int_range (-50) 50)) (int_range 2 32))
-    (fun (keys, chunk) ->
-      let backend = Relation.Column_backend chunk in
-      let r =
-        match
-          Relation.of_tuples ~backend wide_schema (List.map wide_tup keys)
-        with
-        | Ok r -> r
-        | Error e -> failwith e
-      in
-      let r' = Wire.decode_chunked (Wire.encode_chunked r) in
-      List.equal Tuple.equal (Relation.to_list r) (Relation.to_list r'))
-
 (* -- archive payloads ------------------------------------------------------- *)
 
 let check_history_equal expected actual =
@@ -310,8 +217,8 @@ let check_history_equal expected actual =
 let test_archive_roundtrip () =
   check_history_equal history (Wire.decode_archive (Wire.encode_archive history))
 
-(* The changed-only encoding rebuilds the same physical sharing: a version
-   that left a relation untouched shares its slot after decoding too. *)
+(* Decoding rebuilds the same physical sharing: a version that left a
+   relation untouched shares its slot after decoding too. *)
 let test_archive_preserves_sharing () =
   let decoded = Wire.decode_archive (Wire.encode_archive history) in
   for i = 1 to History.length history - 1 do
@@ -327,10 +234,6 @@ let test_archive_preserves_sharing () =
           (shares history) (shares decoded))
       (Database.names (History.version history i))
   done
-
-let test_archive_naive_roundtrip () =
-  check_history_equal history
-    (Wire.decode_archive (Wire.encode_archive ~changed_only:false history))
 
 let test_archive_sub_consumes_exactly () =
   let payload = Wire.encode_archive history in
@@ -390,18 +293,40 @@ let edge_history =
 
 let test_archive_bytes_pinned () =
   List.iter
-    (fun (name, h, changed, full) ->
-      let digest s = Digest.to_hex (Digest.string s) in
-      Alcotest.(check string) (name ^ " changed-only") changed
-        (digest (Wire.encode_archive h));
-      Alcotest.(check string) (name ^ " full") full
-        (digest (Wire.encode_archive ~changed_only:false h)))
-    [ ( "seed 11", seeded_history ~seed:11, "7d45b1db35971b3ea1ca0949a53b38b0",
-        "c0a99314cfaf5bed1a11fbc30ee7a43c" );
-      ( "seed 12", seeded_history ~seed:12, "f7f86c51b34aefd11fd1b0e90433f5f2",
-        "06c1a5374d6268fb975d2a83d8aa179e" );
-      ( "edge values", edge_history, "fa71d2a38645760cc6e475414c7e3601",
-        "f06c133885b9d4530745c60c085cc689" ) ]
+    (fun (name, h, pin) ->
+      Alcotest.(check string) name pin
+        (Digest.to_hex (Digest.string (Wire.encode_archive h))))
+    [ ("seed 11", seeded_history ~seed:11, "720772d24da70f9de830c6f7d5879799");
+      ("seed 12", seeded_history ~seed:12, "e7321edd0d236aa057455e50457b78f3");
+      ("edge values", edge_history, "eb783358f188a979b4eb5fb74a7c36dc") ]
+
+(* Decoding keeps which relations each version replaced. *)
+let test_archive_sharing_ratio () =
+  List.iter
+    (fun (name, h) ->
+      Alcotest.(check (float 0.0)) name (History.sharing_ratio h)
+        (History.sharing_ratio (Wire.decode_archive (Wire.encode_archive h))))
+    [ ("small", history); ("seed 11", seeded_history ~seed:11);
+      ("seed 12", seeded_history ~seed:12); ("edge values", edge_history) ]
+
+(* The layout before key-level deltas wrote each later version as its
+   changed slots' whole bodies.  A two-version archive of that layout
+   (header, version 0, then "1 changed slot: slot 0, one tuple") must not
+   decode as deltas: the body's first tuple is not a change tag. *)
+let test_archive_old_layout_rejected () =
+  let one = Wire.encode_archive (History.create db0) in
+  let header = "FDBSNAP1" in
+  Alcotest.(check string) "one-version count" (header ^ "1;")
+    (String.sub one 0 (String.length header + 2));
+  let skip = String.length header + 2 in
+  let rest = String.sub one skip (String.length one - skip) in
+  let src = header ^ "2;" ^ rest ^ "1;0;" ^ "1;" ^ "2;I9;S1;q" in
+  match Wire.decode_archive src with
+  | exception Wire.Corrupt { offset; reason } ->
+      Alcotest.(check int) ("offset of the whole tuple: " ^ reason)
+        (String.length src - String.length "2;I9;S1;q")
+        offset
+  | _ -> Alcotest.fail "old-layout archive decoded"
 
 let test_archive_garbage_raises () =
   List.iter
@@ -690,22 +615,14 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_archive_roundtrip;
           Alcotest.test_case "sharing preserved" `Quick
             test_archive_preserves_sharing;
-          Alcotest.test_case "naive roundtrip" `Quick
-            test_archive_naive_roundtrip;
           Alcotest.test_case "sub consumes exactly" `Quick
             test_archive_sub_consumes_exactly;
           Alcotest.test_case "garbage raises" `Quick test_archive_garbage_raises;
           Alcotest.test_case "bytes pinned" `Quick test_archive_bytes_pinned;
-        ] );
-      ( "chunked",
-        [
-          Alcotest.test_case "roundtrip all backends" `Quick
-            test_chunked_roundtrip;
-          Alcotest.test_case "prefixes corrupt" `Quick
-            test_chunked_prefixes_corrupt;
-          Alcotest.test_case "bitflips corrupt" `Quick
-            test_chunked_bitflips_corrupt;
-          QCheck_alcotest.to_alcotest prop_chunked_roundtrip;
+          Alcotest.test_case "sharing ratio kept" `Quick
+            test_archive_sharing_ratio;
+          Alcotest.test_case "old layout rejected" `Quick
+            test_archive_old_layout_rejected;
         ] );
       ( "deltas",
         [
