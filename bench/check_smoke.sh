@@ -81,6 +81,13 @@ expect_usage_error shard --shards 0
 expect_usage_error recover-disk --sweep 0
 expect_usage_error recover-disk --key-range 0
 expect_usage_error check --clients 0
+# --tuples above --key-range would silently cap each relation at the key
+# range: every seeded sweep refuses it instead.
+expect_usage_error check --tuples 13
+expect_usage_error par --tuples 1000 --key-range 999
+expect_usage_error index --tuples 13
+expect_usage_error trace --tuples 13
+expect_usage_error stats --tuples 13
 rm -f "$ERR"
 # Traffic smoke: the open-loop harness through every execution mode on two
 # layouts — final states must agree (the command exits 1 on divergence) —

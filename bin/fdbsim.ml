@@ -158,11 +158,13 @@ let sweep ?(doc = "How many consecutive seeds to run.") default =
   int_arg [ "sweep" ] ~doc default
 
 (* The scenario spec seeded by --seed, validated once: a nonsensical spec is
-   a usage error, not a backtrace.  A flag the subcommand leaves out keeps
-   [Gen.default_spec]'s value. *)
+   a usage error, not a backtrace.  Every sweep takes --tuples and
+   --key-range, with [Gen.default_spec]'s values unless the subcommand
+   gives its own; a relation cannot hold more tuples than there are keys,
+   so --tuples above --key-range is a usage error too. *)
 let scenario ?(relations = Term.const Gen.default_spec.relations)
-    ?(tuples = Term.const Gen.default_spec.initial_tuples)
-    ?(key_range = Term.const Gen.default_spec.key_range) cmd ~txns =
+    ?(tuples = tuples Gen.default_spec.initial_tuples)
+    ?(key_range = key_range Gen.default_spec.key_range) cmd ~txns =
   let clients = int_arg [ "clients" ] ~doc:"Client streams." 3 in
   let make seed queries_per_client clients relations initial_tuples key_range =
     let spec =
@@ -171,6 +173,10 @@ let scenario ?(relations = Term.const Gen.default_spec.relations)
     in
     (try ignore (Gen.generate spec)
      with Invalid_argument msg -> usage_error cmd msg);
+    if initial_tuples > key_range then
+      usage_error cmd
+        (Printf.sprintf "tuples (%d) exceeds key-range (%d)" initial_tuples
+           key_range);
     spec
   in
   Term.(const make $ seed_arg $ txns $ clients $ relations $ tuples $ key_range)
@@ -721,7 +727,7 @@ let recover_cmd =
     Term.(
       const go
       $ scenario "recover" ~txns:(txns 6) ~relations:(relations 2)
-          ~tuples:(tuples 6) ~key_range:(key_range 12)
+          ~tuples:(tuples 6)
       $ sweep 50 $ ckpt $ drop $ verbose)
 
 (* -- trace: capture a failover run as Chrome trace_event JSON ------------------- *)
@@ -1148,7 +1154,7 @@ let shard_cmd =
     Term.(
       const go
       $ scenario "shard" ~txns:(txns 5) ~relations:(relations 4)
-          ~tuples:(tuples 6) ~key_range:(key_range 12)
+          ~tuples:(tuples 6)
       $ sweep 2 $ shards $ ratios $ replicate $ trace_out "shard trace")
 
 (* -- recover-disk: crash-restart sweeps of the durable version log -------------- *)
@@ -1186,8 +1192,10 @@ let recover_disk_cmd =
       & opt (list fault_conv) Sim.all_disk_faults
       & info [ "faults" ] ~docv:"KIND,KIND,.."
           ~doc:
-            "Fault kinds to inject after the torn-write crash: clean-kill, \
-             truncate-mid-frame, bit-flip, duplicate-tail.")
+            "Fault kinds to inject: clean-kill, truncate-mid-frame, \
+             bit-flip, duplicate-tail (after the torn-write crash), \
+             torn-differential, kill-before-delete, torn-base (a kill inside \
+             a checkpoint).")
   in
   let go spec sweep checkpoints sync_every faults trace_out =
     if sweep < 1 then usage_error "recover-disk" "sweep must be >= 1";
@@ -1203,6 +1211,7 @@ let recover_disk_cmd =
         and durable = ref 0
         and recovered = ref 0
         and resumed = ref 0
+        and fired = ref 0
         and cells = ref 0 in
         List.iter
           (fun checkpoint_every ->
@@ -1218,6 +1227,7 @@ let recover_disk_cmd =
                     durable := !durable + o.Sim.disk_durable;
                     recovered := !recovered + o.Sim.disk_recovered;
                     resumed := !resumed + o.Sim.disk_resumed;
+                    if o.Sim.disk_fired then incr fired;
                     Hashtbl.replace stops o.Sim.disk_stop
                       (1
                       + Option.value ~default:0
@@ -1233,9 +1243,11 @@ let recover_disk_cmd =
           checkpoints;
         Format.printf
           "%-18s %3d scenarios: appended %4d, durable %4d, recovered %4d, \
-           resumed after restart %4d@."
+           resumed after restart %4d%s@."
           (Sim.disk_fault_name fault)
-          !cells !appended !durable !recovered !resumed)
+          !cells !appended !durable !recovered !resumed
+          (if !fired = !cells then ""
+           else Printf.sprintf " (killed in a checkpoint in %d)" !fired))
       faults;
     Format.printf "replay stops:";
     Hashtbl.iter (fun reason n -> Format.printf " %s=%d" reason n) stops;
@@ -1257,14 +1269,16 @@ let recover_disk_cmd =
     "Crash-restart sweeps of the durable version log: seeded workloads are \
      committed through the write-ahead log over a torn-write store, killed at \
      a random point, the log tail doctored (truncation, bit flips, duplicated \
-     frames), and recovery differentially checked against the pre-crash run \
-     under the durability trace oracle."
+     frames) or the kill placed inside a checkpoint (a torn differential or \
+     base, or a kill before the checkpoint's deletions), and recovery \
+     differentially checked against the pre-crash run under the durability \
+     trace oracle."
   in
   Cmd.v (Cmd.info "recover-disk" ~doc)
     Term.(
       const go
       $ scenario "recover-disk" ~txns:(txns 8) ~relations:(relations 2)
-          ~tuples:(tuples 6) ~key_range:(key_range 12)
+          ~tuples:(tuples 6)
       $ sweep ~doc:"Consecutive seeds per (fault, checkpoint-interval) cell." 13
       $ checkpoints $ sync_every $ faults
       $ trace_out
@@ -1332,26 +1346,33 @@ let wal_cmd =
                   Format.printf "  @@%-8d torn: %s@." offset reason
               | Wire.Frame { kind; payload; next } ->
                   let (version, p) = Wire.read_int payload ~pos:0 in
-                  (* a delta's per-slot key-change counts *)
+                  (* a delta's, or a differential's since its base,
+                     per-slot key-change counts *)
+                  let changes p =
+                    match Wire.delta_key_changes payload ~pos:p with
+                    | slots ->
+                        ", key changes ["
+                        ^ String.concat ", "
+                            (List.map
+                               (fun (slot, n) ->
+                                 Printf.sprintf "slot %d: %d" slot n)
+                               slots)
+                        ^ "]"
+                    | exception Wire.Corrupt { reason; _ } ->
+                        ", undecodable: " ^ reason
+                  in
                   let keys =
                     match kind with
                     | Wire.Checkpoint -> ""
-                    | Wire.Delta -> (
-                        match Wire.delta_key_changes payload ~pos:p with
-                        | slots ->
-                            ", key changes ["
-                            ^ String.concat ", "
-                                (List.map
-                                   (fun (slot, n) ->
-                                     Printf.sprintf "slot %d: %d" slot n)
-                                   slots)
-                            ^ "]"
-                        | exception Wire.Corrupt { reason; _ } ->
-                            ", undecodable: " ^ reason)
+                    | Wire.Delta -> changes p
+                    | Wire.Differential ->
+                        let (base, p) = Wire.read_int payload ~pos:p in
+                        Printf.sprintf ", base v%d" base ^ changes p
                   in
-                  Format.printf "  @@%-8d %-10s v%-5d %6d bytes, crc ok%s@." pos
+                  Format.printf "  @@%-8d %-12s v%-5d %6d bytes, crc ok%s@." pos
                     (match kind with
                     | Wire.Checkpoint -> "checkpoint"
+                    | Wire.Differential -> "differential"
                     | Wire.Delta -> "delta")
                     version
                     (String.length payload)

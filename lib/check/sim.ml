@@ -618,22 +618,30 @@ let run_sharded ?policy ?replicate ?max_states ~shards ~seed sc =
 module Wal = Fdb_wal.Wal
 module Wire = Fdb_wire.Wire
 
-type disk_fault = Clean_kill | Truncate_mid_frame | Bit_flip | Duplicate_tail
+type disk_fault =
+  | Clean_kill
+  | Truncate_mid_frame
+  | Bit_flip
+  | Duplicate_tail
+  | Torn_differential
+  | Kill_before_delete
+  | Torn_base
 
-let all_disk_faults = [ Clean_kill; Truncate_mid_frame; Bit_flip; Duplicate_tail ]
+let all_disk_faults =
+  [ Clean_kill; Truncate_mid_frame; Bit_flip; Duplicate_tail;
+    Torn_differential; Kill_before_delete; Torn_base ]
 
 let disk_fault_name = function
   | Clean_kill -> "clean-kill"
   | Truncate_mid_frame -> "truncate-mid-frame"
   | Bit_flip -> "bit-flip"
   | Duplicate_tail -> "duplicate-tail"
+  | Torn_differential -> "torn-differential"
+  | Kill_before_delete -> "kill-before-delete"
+  | Torn_base -> "torn-base"
 
-let disk_fault_of_name = function
-  | "clean-kill" -> Some Clean_kill
-  | "truncate-mid-frame" -> Some Truncate_mid_frame
-  | "bit-flip" -> Some Bit_flip
-  | "duplicate-tail" -> Some Duplicate_tail
-  | _ -> None
+let disk_fault_of_name name =
+  List.find_opt (fun f -> disk_fault_name f = name) all_disk_faults
 
 type disk_outcome = {
   disk_appended : int;  (** versions logged before the kill *)
@@ -643,6 +651,7 @@ type disk_outcome = {
   disk_stop : string;  (** why replay stopped (["clean"] if it didn't) *)
   disk_segments : int;  (** segment files present at the first recovery *)
   disk_resumed : int;  (** versions appended after restart *)
+  disk_fired : bool;  (** a checkpoint fault's kill happened *)
   disk_trace : Fdb_obs.Event.t list;
   disk_metrics : Fdb_obs.Metrics.snapshot;
 }
@@ -683,7 +692,7 @@ let doctor_tail ~fault ~rand mem store =
                lxor (1 lsl Random.State.int rand 8)));
           Wal.Mem.set mem name (Bytes.to_string b)
         end
-    | Duplicate_tail ->
+    | Duplicate_tail -> (
         (* Re-append the last whole frame: a checksum-valid duplicate the
            reader must reject as out-of-order, keeping the prefix. *)
         let rec last pos best =
@@ -691,11 +700,85 @@ let doctor_tail ~fault ~rand mem store =
           | Wire.Frame { next; _ } -> last next (Some (pos, next))
           | Wire.End_of_input | Wire.Torn _ -> best
         in
-        (match last 0 None with
+        match last 0 None with
         | Some (s, e) ->
             Wal.Mem.set mem name (content ^ String.sub content s (e - s))
         | None -> ())
+    | Torn_differential | Kill_before_delete | Torn_base ->
+        (* the kill inside a checkpoint was the fault *)
+        ()
   end
+
+exception Killed
+
+(* The checkpoint faults' store: [mem]'s, which, while [armed], kills the
+   writer inside a checkpoint — tearing a differential or a base head at a
+   random byte before its end (a frame of several appends may be cut in
+   any of them), or right after a differential head is synced, before
+   the checkpoint deletes what it supersedes.  [fired] records the kill. *)
+let killing_store ~fault ~rand ~armed ~fired mem =
+  let inner = Wal.Mem.store mem in
+  let tearing = ref None in
+  (* file, bytes of the head still allowed through *)
+  let headed = ref None in
+  (* the file and head kind, when the last append began a segment *)
+  let files = Hashtbl.create 8 in
+  let kill () =
+    fired := true;
+    raise Killed
+  in
+  let tear name bytes room =
+    if String.length bytes <= room then begin
+      inner.Wal.Store.append name bytes;
+      tearing := Some (name, room - String.length bytes)
+    end
+    else begin
+      inner.Wal.Store.append name (String.sub bytes 0 room);
+      kill ()
+    end
+  in
+  let append name bytes =
+    let head =
+      if Hashtbl.mem files name then None
+      else begin
+        Hashtbl.replace files name ();
+        Wire.header_kind bytes
+      end
+    in
+    headed := Option.map (fun kind -> (name, kind)) head;
+    match !tearing with
+    | Some (file, room) when file = name -> tear name bytes room
+    | _ -> (
+        match (fault, if !armed then head else None) with
+        | (Torn_differential, Some Wire.Differential)
+        | (Torn_base, Some Wire.Checkpoint) ->
+            let len =
+              Wire.frame_overhead
+              + (Int32.to_int (String.get_int32_le bytes 0) land 0xFFFFFFFF)
+            in
+            tear name bytes (Random.State.int rand len)
+        | _ -> inner.Wal.Store.append name bytes)
+  in
+  let sync name =
+    inner.Wal.Store.sync name;
+    if
+      !armed && fault = Kill_before_delete
+      && !headed = Some (name, Wire.Differential)
+    then kill ()
+  in
+  { inner with Wal.Store.append; sync }
+
+(* Checkpoint until the fault's frame is met and the store kills the
+   writer: a differential comes at the latest right after a base, and a
+   base at the latest as the [Wal.base_every]th checkpoint. *)
+let kill_in_checkpoint w =
+  let rec go n =
+    if n > 0 then
+      match Wal.checkpoint w with
+      | () -> go (n - 1)
+      | exception Killed -> ()
+  in
+  go (Wal.base_every + 1)
 
 let run_disk_raw ?(sync_every = 3) ?(checkpoint_every = 0) ~fault ~seed
     (sc : Gen.scenario) =
@@ -706,7 +789,8 @@ let run_disk_raw ?(sync_every = 3) ?(checkpoint_every = 0) ~fault ~seed
   let total = List.length queries in
   let kill = if total = 0 then 0 else 1 + Random.State.int rand total in
   let mem = Wal.Mem.create () in
-  let store = Wal.Mem.store mem in
+  let armed = ref false and fired = ref false in
+  let store = killing_store ~fault ~rand ~armed ~fired mem in
   let (outcome, trace) =
     Fdb_obs.Trace.record @@ fun () ->
     (* -- before the kill: commit through the reference engine, logging
@@ -726,7 +810,15 @@ let run_disk_raw ?(sync_every = 3) ?(checkpoint_every = 0) ~fault ~seed
       | rest -> rest
     in
     let remaining = apply_prefix 0 queries in
-    if fault = Clean_kill then Wal.sync w;
+    (match fault with
+    | Torn_differential | Kill_before_delete | Torn_base ->
+        armed := true;
+        kill_in_checkpoint w;
+        armed := false
+    | Clean_kill ->
+        Wal.sync w;
+        fired := true
+    | Truncate_mid_frame | Bit_flip | Duplicate_tail -> fired := true);
     let durable = Wal.durable w in
     let appended = Wal.appended w in
     (* -- the kill: tear the unsynced tail, then doctor what survived. *)
@@ -799,6 +891,7 @@ let run_disk_raw ?(sync_every = 3) ?(checkpoint_every = 0) ~fault ~seed
         | Wal.Stopped { reason; _ } -> reason);
       disk_segments = r.Wal.segments;
       disk_resumed = Wal.appended w2 - r.Wal.upto;
+      disk_fired = !fired;
       disk_trace = [];
       disk_metrics = no_metrics;
     }

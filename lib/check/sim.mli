@@ -195,6 +195,16 @@ type disk_fault =
   | Truncate_mid_frame  (** cut the tail segment inside a frame *)
   | Bit_flip  (** flip one bit somewhere past the synced mark *)
   | Duplicate_tail  (** re-append the last whole frame verbatim *)
+  | Torn_differential
+      (** checkpoint at the kill point until a differential is written,
+          and kill while it is: its head is torn at a random byte *)
+  | Kill_before_delete
+      (** checkpoint until a differential is written and synced, and kill
+          before the checkpoint deletes the segments it supersedes *)
+  | Torn_base
+      (** checkpoint until a base is written (at the latest the
+          {!Fdb_wal.Wal.base_every}th), and kill while it is: its head is
+          torn at a random byte, in any of its chunks *)
 
 val all_disk_faults : disk_fault list
 val disk_fault_name : disk_fault -> string
@@ -208,6 +218,11 @@ type disk_outcome = {
   disk_stop : string;  (** why replay stopped (["clean"] if it didn't) *)
   disk_segments : int;  (** segment files present at the first recovery *)
   disk_resumed : int;  (** versions appended after restart *)
+  disk_fired : bool;
+      (** the kill happened: always for the first four faults; for a
+          checkpoint fault, only if its frame kind was met — a base whose
+          frame is under four times a differential's never lets one be
+          written *)
   disk_trace : Fdb_obs.Event.t list;
       (** already checked against {!Trace_oracle.check}, including the
           [durability] law *)

@@ -484,34 +484,52 @@ module Make (Elt : Ordered.S) = struct
       (Walk.Node (old.root, Walk.End))
       (Walk.Node (t.root, Walk.End))
 
-  let shared_pages ~old t =
-    let module H = Hashtbl.Make (struct
-      type t = node
+  type page = node
 
-      let equal = ( == )
-      let hash = Hashtbl.hash
-    end) in
-    let seen = H.create 64 in
-    let rec remember n =
-      if not (H.mem seen n) then begin
-        H.add seen n ();
-        match n with
-        | Leaf _ -> ()
-        | Dir (children, _) -> Array.iter remember children
-      end
+  let root_page t = t.root
+  let subpages = function Leaf _ -> [||] | Dir (children, _) -> children
+
+  (* The page of a tree at height [h] on the search path for [x] from
+     [node], at height [at]; [None] if the path meets [x] above [h], where
+     no page at [h] can hold it. *)
+  let rec page_on_path x ~h ~at node =
+    if at = h then Some node
+    else
+      match node with
+      | Leaf _ -> None
+      | Dir (children, keys) -> (
+          match locate keys x with
+          | `Found _ -> None
+          | `Child i -> page_on_path x ~h ~at:(at - 1) children.(i))
+
+  (* Elements are unique, so a page of [t] is one of [old]'s iff the
+     search in [old] for the page's first element reaches that very page
+     at its height; a shared page's subtree is shared whole. *)
+  let shared_pages ~old t =
+    let old_h = height old in
+    let in_old n h =
+      match n with
+      | Leaf [||] -> n == old.root
+      | Leaf keys | Dir (_, keys) -> (
+          h <= old_h
+          &&
+          match page_on_path keys.(0) ~h ~at:old_h old.root with
+          | Some p -> p == n
+          | None -> false)
     in
-    remember old.root;
-    let rec go (shared, total) n =
-      if H.mem seen n then
+    let rec go (shared, total) n h =
+      if in_old n h then
         let k = pages n in
         (shared + k, total + k)
       else
         match n with
         | Leaf _ -> (shared, total + 1)
         | Dir (children, _) ->
-            Array.fold_left go (shared, total + 1) children
+            Array.fold_left
+              (fun acc c -> go acc c (h - 1))
+              (shared, total + 1) children
     in
-    go (0, 0) t.root
+    go (0, 0) t.root (height t)
 
   exception Broken
 

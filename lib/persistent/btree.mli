@@ -94,7 +94,20 @@ module Make (Elt : Ordered.S) : sig
       one-element update costs O(height * branching). *)
 
   val shared_pages : old:t -> t -> int * int
-  (** [(shared, total)] over the new version's pages. *)
+  (** [(shared, total)] over the new version's pages, where a page is
+      shared if it is physically one of [old]'s.  Both trees are walked in
+      lockstep: since elements are unique, a page is [old]'s iff the
+      search in [old] for its first element reaches it at its height, and
+      a shared page's whole subtree is shared, so the cost follows the
+      pages the update rebuilt, O(rebuilt * height * branching). *)
+
+  type page
+  (** One page of a tree, compared physically ([==]): a view for checking
+      {!shared_pages} against a page-by-page search. *)
+
+  val root_page : t -> page
+  val subpages : page -> page array
+  (** A directory page's children, in order; [[||]] for a leaf. *)
 
   val invariant : t -> bool
   (** Uniform leaf depth, key ordering, and page occupancy bounds (root

@@ -140,6 +140,27 @@ module Make (Elt : Ordered.S) = struct
     in
     go t
 
+  let apply_sorted changes t =
+    (* [acc] is the rebuilt prefix, newest first; the list past the last
+       change is shared. *)
+    let rec go acc changes t =
+      match changes with
+      | [] -> List.fold_left (fun r x -> Cons (x, r)) t acc
+      | (p, put) :: rest -> (
+          match t with
+          | Cons (y, r) when Elt.compare y p < 0 -> go (y :: acc) changes r
+          | _ ->
+              (match rest with
+              | (q, _) :: _ when Elt.compare q p <= 0 ->
+                  invalid_arg "Plist.apply_sorted: changes not strictly ascending"
+              | _ -> ());
+              let t =
+                match t with Cons (y, r) when Elt.compare y p = 0 -> r | _ -> t
+              in
+              go (match put with Some x -> x :: acc | None -> acc) rest t)
+    in
+    go [] changes t
+
   let walk t rest = match t with Nil -> rest | Cons _ -> Walk.Node (t, rest)
 
   let open_cell t rest =

@@ -69,6 +69,14 @@ module Make (Elt : Ordered.S) : sig
   val delete : ?meter:Meter.t -> Elt.t -> t -> t * bool
   (** Remove the first element equal to the argument. *)
 
+  val apply_sorted : (Elt.t * Elt.t option) list -> t -> t
+  (** [apply_sorted changes t] takes each [(probe, put)] in turn: it
+      removes the element comparing equal to [probe], if any, and puts
+      [put] in its place when given ([put] must compare equal to [probe]).
+      One pass for all the changes: the cells up to the last change are
+      copied and the rest shared.
+      @raise Invalid_argument if the probes are not strictly ascending. *)
+
   val diff :
     equal:(Elt.t -> Elt.t -> bool) ->
     removed:('a -> Elt.t -> 'a) ->

@@ -276,6 +276,8 @@ let diff ~old r =
     | (C o, C n) -> run CO.diff o n
     | _ -> invalid_arg "Relation.diff: backend mismatch"
 
+let key_mismatch = "Relation.apply_diff: tuple key differs from its change key"
+
 let apply_diff r changes =
   let step acc (key, change) =
     match acc with
@@ -286,10 +288,33 @@ let apply_diff r changes =
         | None -> Ok r
         | Some tup ->
             if Tuple.arity tup = 0 || not (Value.equal (Tuple.key tup) key)
-            then Error "Relation.apply_diff: tuple key differs from its change key"
+            then Error key_mismatch
             else Result.map fst (insert r tup))
   in
-  List.fold_left step (Ok r) changes
+  (* [step]'s checks, in the same order, without applying anything *)
+  let rec valid = function
+    | [] -> Ok ()
+    | (_, None) :: rest -> valid rest
+    | (key, Some tup) :: rest ->
+        if Tuple.arity tup = 0 || not (Value.equal (Tuple.key tup) key) then
+          Error key_mismatch
+        else if not (Schema.matches r.schema tup) then
+          Error (schema_error r.schema tup)
+        else valid rest
+  in
+  let rec ascending = function
+    | (a, _) :: ((b, _) :: _ as rest) -> Value.compare a b < 0 && ascending rest
+    | _ -> true
+  in
+  match r.repr with
+  | L l when ascending changes ->
+      (* a diff's changes come in key order: merge them in one pass *)
+      Result.map
+        (fun () ->
+          let changes = List.map (fun (key, put) -> (probe key, put)) changes in
+          { r with repr = L (PL.apply_sorted changes l) })
+        (valid changes)
+  | _ -> List.fold_left step (Ok r) changes
 
 let pp ppf r =
   Format.fprintf ppf "@[<v>%a [%s, %d tuples]@]" Schema.pp r.schema

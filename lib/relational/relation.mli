@@ -116,6 +116,8 @@ val apply_diff :
 (** [apply_diff old (diff ~old r)] has [r]'s contents, in [old]'s
     backend.  Each change replaces or removes its key, in list order.
     [Error] on a tuple that does not match the schema or whose key is not
-    its change key. *)
+    its change key.  On a [list] relation, changes in strictly ascending
+    key order (as {!diff} lists them) are merged into the list in one
+    pass, not applied one walk from the head each. *)
 
 val pp : Format.formatter -> t -> unit

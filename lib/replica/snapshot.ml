@@ -15,6 +15,8 @@ let decode src =
   | Wire.Torn { offset; reason } -> corrupt offset reason
   | Wire.Frame { kind = Wire.Delta; _ } ->
       corrupt 0 "expected a checkpoint frame, got a delta frame"
+  | Wire.Frame { kind = Wire.Differential; _ } ->
+      corrupt 0 "expected a checkpoint frame, got a differential frame"
   | Wire.Frame { kind = Wire.Checkpoint; payload; next } ->
       (* Consume exactly one frame: anything after it is typed corruption,
          not silently accepted garbage. *)

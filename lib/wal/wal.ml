@@ -154,11 +154,21 @@ let segment_number name =
 
 (* -- writer ------------------------------------------------------------------ *)
 
+(* A checkpoint is a base at least every [base_every] checkpoints, and
+   whenever the differential would pass a quarter of the base's bytes. *)
+let base_every = 16
+let base_fraction = 4
+
 type writer = {
   store : Store.t;
   sync_every : int;
   checkpoint_every : int;
   mutable latest : Fdb_relational.Database.t;  (* version [appended] only *)
+  mutable base : Fdb_relational.Database.t;  (* the newest base's state *)
+  mutable base_upto : int;  (* the version it covers *)
+  mutable base_seg : int;  (* the segment it heads *)
+  mutable base_bytes : int;  (* its frame length *)
+  mutable since_base : int;  (* differentials written since it *)
   mutable appended : int;
   mutable durable : int;
   mutable seg : int;
@@ -170,11 +180,19 @@ let appended w = w.appended
 let durable w = w.durable
 let segment w = w.seg
 let latest w = w.latest
+let base w = w.base
 
-(* Write and sync a checkpoint frame as the head of segment [seg]: the
-   covered version index, then a one-version archive of that database,
-   handed to the store chunk by chunk. *)
-let write_checkpoint store ~seg ~upto db =
+(* Sync the head frame just written to segment [seg], then report it. *)
+let head_down store ~seg ~upto bytes =
+  store.Store.sync (seg_name seg);
+  emit (Event.Wal_checkpoint { upto; bytes; segment = seg });
+  Metrics.incr m_ckpts;
+  Metrics.observe h_frame_bytes bytes
+
+(* Write and sync a base as the head of segment [seg]: the covered version
+   index, then a one-version archive of that database, handed to the store
+   chunk by chunk. *)
+let write_base store ~seg ~upto db =
   let bytes =
     Wire.write_frame ~kind:Wire.Checkpoint
       (fun e ->
@@ -182,17 +200,17 @@ let write_checkpoint store ~seg ~upto db =
         Wire.write_archive e (History.create db))
       (store.Store.append (seg_name seg))
   in
-  store.Store.sync (seg_name seg);
-  emit (Event.Wal_checkpoint { upto; bytes; segment = seg });
-  Metrics.incr m_ckpts;
-  Metrics.observe h_frame_bytes bytes
+  head_down store ~seg ~upto bytes;
+  bytes
 
-(* Old segments go only after the new checkpoint is down and synced. *)
-let delete_older store ~than =
+(* Old segments go only after the new head is down and synced; the
+   segment of the newest base, [keep], stays while a differential needs
+   it. *)
+let delete_older store ~than ~keep =
   List.iter
     (fun name ->
       match segment_number name with
-      | Some n when n < than ->
+      | Some n when n < than && n <> keep ->
           store.Store.remove name;
           emit (Event.Wal_segment_delete { segment = n });
           Metrics.incr m_seg_deletes
@@ -208,25 +226,56 @@ let sync w =
     emit (Event.Wal_sync { upto = w.durable })
   end
 
+(* The differential payload for a checkpoint at [upto] — the covered
+   version, the base's version, and the key-level changes from the base —
+   or [None] when the checkpoint must be a base. *)
+let differential w ~upto =
+  if w.since_base + 1 >= base_every then None
+  else
+    let payload =
+      Wire.encode (fun e ->
+          Wire.write_int e upto;
+          Wire.write_int e w.base_upto;
+          Wire.write_version e ~prev:w.base w.latest)
+    in
+    let bytes = Wire.frame_overhead + String.length payload in
+    if base_fraction * bytes > w.base_bytes then None else Some payload
+
 let checkpoint w =
   sync w;
   let upto = appended w in
   let seg = w.seg + 1 in
-  write_checkpoint w.store ~seg ~upto w.latest;
+  (match differential w ~upto with
+  | Some payload ->
+      let frame = Wire.frame ~kind:Wire.Differential payload in
+      w.store.Store.append (seg_name seg) frame;
+      head_down w.store ~seg ~upto (String.length frame);
+      w.since_base <- w.since_base + 1
+  | None ->
+      w.base_bytes <- write_base w.store ~seg ~upto w.latest;
+      w.base <- w.latest;
+      w.base_upto <- upto;
+      w.base_seg <- seg;
+      w.since_base <- 0);
   w.seg <- seg;
   w.since_ckpt <- 0;
-  delete_older w.store ~than:seg
+  delete_older w.store ~than:seg ~keep:w.base_seg
 
 let make ?(sync_every = 1) ?(checkpoint_every = 0) ~store ~first ~seg db =
   if sync_every < 0 then invalid_arg "Wal.create: sync_every < 0";
   if checkpoint_every < 0 then invalid_arg "Wal.create: checkpoint_every < 0";
-  write_checkpoint store ~seg ~upto:first db;
-  delete_older store ~than:seg;
+  let base_bytes = write_base store ~seg ~upto:first db in
+  delete_older store ~than:seg ~keep:seg;
   {
     store;
     sync_every;
     checkpoint_every;
     latest = db;
+    base = db;
+    base_upto = first;
+    base_seg = seg;
+    base_bytes;
+    since_base = 0;
     appended = first;
     durable = first;
     seg;
@@ -277,13 +326,34 @@ type recovery = {
 
 let corrupt offset reason = raise (Wire.Corrupt { offset; reason })
 
-(* Parse a checkpoint payload: covered version index + 1-version archive. *)
-let parse_checkpoint payload =
+(* Parse a base payload: covered version index + 1-version archive. *)
+let parse_base payload =
   let (upto, p) = Wire.read_int payload ~pos:0 in
   let (h, next) = Wire.decode_archive_sub payload ~pos:p in
   if next <> String.length payload then
     corrupt next "trailing bytes in checkpoint payload";
   (upto, History.latest h)
+
+(* The head frame of segment [name], if it is whole. *)
+let head (store : Store.t) name =
+  match store.Store.read name with
+  | None -> None
+  | Some content -> (
+      match Wire.read_frame content ~pos:0 with
+      | Wire.Frame { kind; payload; next } -> Some (content, kind, payload, next)
+      | Wire.End_of_input | Wire.Torn _ -> None)
+
+(* The newest segment among [older] headed by an intact base that covers
+   version [v]. *)
+let rec find_base store v = function
+  | [] -> None
+  | (_, name) :: rest -> (
+      match head store name with
+      | Some (_, Wire.Checkpoint, payload, _) ->
+          let (upto, _) = Wire.read_int payload ~pos:0 in
+          if upto = v then Some (snd (parse_base payload))
+          else find_base store v rest
+      | Some _ | None -> find_base store v rest)
 
 let recover (store : Store.t) =
   let segs =
@@ -294,22 +364,31 @@ let recover (store : Store.t) =
          (store.Store.list_files ()))
   in
   if segs = [] then corrupt 0 "no log segments";
-  (* Newest segment whose head checkpoint frame is intact.  A torn head
-     means the crash hit mid-checkpoint, before the old segments were
-     deleted — nothing in that segment was ever promised durable. *)
+  (* Newest segment whose head is intact.  A torn head means the crash hit
+     mid-checkpoint, before the old segments were deleted — nothing in
+     that segment was ever promised durable.  A differential head is
+     rebuilt on its base, which an older segment heads; without that base
+     the segment is passed over like a torn one. *)
   let rec choose = function
     | [] -> corrupt 0 "no segment with an intact checkpoint"
     | (_, name) :: rest -> (
-        match store.Store.read name with
-        | None -> choose rest
-        | Some content -> (
-            match Wire.read_frame content ~pos:0 with
-            | Wire.Frame { kind = Wire.Checkpoint; payload; next } ->
-                let (base, db) = parse_checkpoint payload in
-                (content, next, base, db)
-            | Wire.Frame { kind = Wire.Delta; _ }
-            | Wire.End_of_input | Wire.Torn _ ->
-                choose rest))
+        match head store name with
+        | Some (content, Wire.Checkpoint, payload, next) ->
+            let (base, db) = parse_base payload in
+            (content, next, base, db)
+        | Some (content, Wire.Differential, payload, next) -> (
+            let (upto, p) = Wire.read_int payload ~pos:0 in
+            let (base_upto, p) = Wire.read_int payload ~pos:p in
+            match find_base store base_upto rest with
+            | None -> choose rest
+            | Some base ->
+                let (db, consumed) =
+                  Wire.decode_version_sub ~prev:base payload ~pos:p
+                in
+                if consumed <> String.length payload then
+                  corrupt consumed "trailing bytes in differential payload";
+                (content, next, upto, db))
+        | Some (_, Wire.Delta, _, _) | None -> choose rest)
   in
   let (content, start, base, db0) = choose segs in
   let hist = ref (History.create db0) in
@@ -323,7 +402,7 @@ let recover (store : Store.t) =
     | Wire.Torn { offset; reason } ->
         stop := Stopped { offset; reason };
         running := false
-    | Wire.Frame { kind = Wire.Checkpoint; _ } ->
+    | Wire.Frame { kind = Wire.Checkpoint | Wire.Differential; _ } ->
         (* A checkpoint can only head a segment; one mid-segment is a
            duplicated or misdirected frame — stop before it. *)
         stop := Stopped { offset = !pos; reason = "unexpected checkpoint frame" };

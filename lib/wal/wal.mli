@@ -1,5 +1,5 @@
 (** The durable version log: an append-only log of version deltas with
-    periodic compact checkpoints, written in the shared frame format
+    periodic checkpoints, written in the shared frame format
     ({!Fdb_wire.Wire}).
 
     The paper's functional design makes durability cheap: a
@@ -8,35 +8,59 @@
     database.  Layout:
 
     {v
-      seg-000000.wal:  [ckpt v0] [delta v1] [delta v2] ... [delta vK]
-      seg-000001.wal:  [ckpt vK] [delta vK+1] ...
+      seg-000000.wal:  [base v0] [delta v1] [delta v2] ... [delta vK]
+      seg-000001.wal:  [diff vK / v0] [delta vK+1] ... [delta vM]
+      seg-000002.wal:  [diff vM / v0] [delta vM+1] ...
     v}
 
-    Every segment begins with a {b checkpoint frame} — the version index it
-    covers plus a one-version archive of that database — followed by
-    {b delta frames}, each carrying its version index and the key-level
-    changes against the previous version ({!Fdb_wire.Wire.encode_version}):
-    for each relation slot the commit replaced, a put per inserted or
-    rewritten tuple and a delete per removed key.  A delta is sized by
-    what the transaction changed, not by the relations it touched — the
-    paper's version i+1 as version i plus one transaction's effects.
-    Since frame format version 2 (which introduced these deltas), a log
-    written in format 1 has no readable checkpoint and {!val:recover}
-    rejects it with {!Fdb_wire.Wire.Corrupt}; it is never misread.  Recovery
-    ({!val:recover}) picks the newest segment whose checkpoint frame is
-    intact, rebuilds that database, and replays the delta suffix in order,
-    stopping cleanly at the first torn, truncated, checksum-corrupt or
-    out-of-order frame.
+    Every segment begins with a {b checkpoint frame}, which is one of two
+    kinds.  A {b base} ({!Fdb_wire.Wire.Checkpoint}) holds the version
+    index it covers plus a one-version archive of that database.  A
+    {b differential} ({!Fdb_wire.Wire.Differential}) holds the version
+    index it covers, the version index of the newest base, and the
+    key-level changes from that base's database to the covered one
+    ({!Fdb_wire.Wire.write_version}) — the paper's partial reconstruction
+    (§2.2): a checkpoint costs what changed since the base, not the
+    database.  The rest of a segment is {b delta frames}, each carrying
+    its version index and the key-level changes against the previous
+    version: for each relation slot the commit replaced, a put per
+    inserted or rewritten tuple and a delete per removed key.
+
+    {b Base policy.}  A checkpoint is a base when it is the
+    {!base_every}th since the newest base, or when the differential frame
+    would be more than a quarter of the newest base's frame bytes;
+    otherwise it is a differential.  {!create} and {!resume} always write
+    a base.
+
+    {b Retention.}  The writer holds two versions: the newest appended
+    one and the newest base's, which shares every page the two did not
+    rewrite (a version is immutable, so the base is a frozen generation
+    that writers move past).  On disk, the newest base's segment stays
+    until a newer base is synced; every other segment older than the
+    newest checkpoint is deleted once that checkpoint is synced.  So a
+    log holds at most two segments after a checkpoint: the base's and the
+    newest differential's.
+
+    {b Recovery} ({!val:recover}) picks the newest segment whose
+    checkpoint frame is intact.  A base is decoded as it stands; a
+    differential is applied to the base it names, read from the head of
+    an older segment, and a differential whose base is missing or torn
+    is passed over like a torn checkpoint.  Recovery then replays the
+    delta suffix in order, stopping cleanly at the first torn,
+    truncated, checksum-corrupt or out-of-order frame.  Frame format
+    version 3 introduced the differential; a log written in an older
+    format has no readable checkpoint and {!val:recover} rejects it with
+    {!Fdb_wire.Wire.Corrupt}; it is never misread.
 
     {b Fsync discipline.}  Appends are group-buffered; {!val:sync} is the
     explicit fsync point after which every appended version is promised to
     survive a crash.  A checkpoint (a) syncs the current segment, (b)
     writes and syncs the new segment's checkpoint frame, and only then (c)
-    deletes the old segments — so at any crash point some synced segment
-    still holds everything promised durable.  The [Wal_*] trace events are
-    emitted {e after} the corresponding bytes are down, so trace order is
-    a durability witness the [durability] oracle
-    ({!Fdb_check.Trace_oracle}) can check. *)
+    deletes the old segments it no longer needs — so at any crash point
+    some synced segment, with the base it names, still holds everything
+    promised durable.  The [Wal_*] trace events are emitted {e after} the
+    corresponding bytes are down, so trace order is a durability witness
+    the [durability] oracle ({!Fdb_check.Trace_oracle}) can check. *)
 
 open Fdb_relational
 
@@ -124,19 +148,29 @@ val append : writer -> Database.t -> unit
 val sync : writer -> unit
 (** Explicit fsync point: every appended version becomes durable. *)
 
+val base_every : int
+(** A checkpoint is a base at least this often (16): after
+    [base_every - 1] differentials, the next checkpoint is a base. *)
+
 val checkpoint : writer -> unit
-(** Force a compact checkpoint now (see the fsync discipline above).  The
-    frame is encoded into fixed-size chunks from Wire's weak per-domain
-    pool, which the next checkpoint on the domain rewrites, a new writer's
-    genesis checkpoint included: a checkpoint that follows another
-    allocates almost nothing, yet nothing holds its bytes against the
-    GC. *)
+(** Checkpoint now, as a base or a differential by the base policy above
+    (see also the fsync discipline).  A differential is encoded once,
+    from the base to the newest version, in time sized by the change
+    since the base.  A base frame is encoded into fixed-size chunks from
+    Wire's weak per-domain pool, which the next base on the domain
+    rewrites, a new writer's genesis base included: a base that follows
+    another allocates almost nothing, yet nothing holds its bytes against
+    the GC. *)
 
 val latest : writer -> Database.t
-(** The newest appended version: the base the next {!append} diffs
-    against and the state a {!checkpoint} writes.  The writer holds no
-    older version, so each one it has logged is garbage once the caller
-    drops it (the log, not the writer, is the archive). *)
+(** The newest appended version: the one the next {!append} diffs
+    against and the state a {!checkpoint} covers. *)
+
+val base : writer -> Database.t
+(** The newest base's database, which a differential {!checkpoint} diffs
+    against.  Besides it and {!latest} the writer holds no version, so
+    each other one it has logged is garbage once the caller drops it (the
+    log, not the writer, is the archive). *)
 
 val appended : writer -> int
 (** Newest version index written to the log (0 = just the initial
@@ -170,7 +204,9 @@ val recover : Store.t -> recovery
 (** Rebuild the newest durable state by checkpoint + suffix replay.  Picks
     the newest segment whose head checkpoint frame is intact (a segment
     whose checkpoint was torn mid-write is skipped — its contents were
-    never promised durable), then replays delta frames in version order.
+    never promised durable), rebuilds a differential on the base it names
+    (skipping the segment if that base is not intact), then replays delta
+    frames in version order.
     Emits [Wal_replay] / [Wal_recovered] trace events and [wal.*] metrics.
     @raise Fdb_wire.Wire.Corrupt if no segment holds an intact checkpoint,
     or if a checksum-valid frame is structurally invalid (real corruption,
@@ -179,8 +215,9 @@ val recover : Store.t -> recovery
 val resume :
   ?sync_every:int -> ?checkpoint_every:int -> store:Store.t -> recovery ->
   writer
-(** Continue a recovered log: writes a fresh checkpoint segment at the
-    recovered state (discarding any torn tail) and returns a writer whose
-    next append is version [upto + 1]. *)
+(** Continue a recovered log: writes a fresh base segment at the
+    recovered state (discarding any torn tail and every older segment,
+    once the base is synced) and returns a writer whose next append is
+    version [upto + 1]. *)
 
 val pp_stop : Format.formatter -> stop_reason -> unit

@@ -43,14 +43,27 @@ let tables () =
 (* An unsigned 32-bit little-endian field as a native int. *)
 let le32 s pos = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF
 
-(* Raw update: feed bytes into a running (pre-finalization) crc state. *)
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+(* 8 bytes at [pos] as a little-endian int64, unchecked. *)
+let get64u_le s pos =
+  if Sys.big_endian then swap64 (get64u s pos) else get64u s pos
+
+(* Raw update: feed bytes into a running (pre-finalization) crc state.
+   The range is checked once, so the main loop reads each 8 bytes with
+   one unchecked little-endian load. *)
 let crc_feed state s pos len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Wire.crc_feed";
   let t = tables () in
   let slice k v = Array.unsafe_get t ((k * 256) + (v land 0xFF)) in
   let c = ref state and i = ref pos in
   let stop8 = pos + len - 8 in
   while !i <= stop8 do
-    let lo = !c lxor le32 s !i and hi = le32 s (!i + 4) in
+    let w = get64u_le s !i in
+    let lo = !c lxor (Int64.to_int w land 0xFFFFFFFF)
+    and hi = Int64.to_int (Int64.shift_right_logical w 32) in
     c :=
       slice 7 lo
       lxor slice 6 (lo lsr 8)
@@ -588,13 +601,22 @@ let decode_archive src =
    prefix is caught; a flipped length byte surfaces as a truncated payload
    or a crc mismatch.  Reading never raises: damage comes back as [Torn]. *)
 
-type kind = Checkpoint | Delta
+type kind = Checkpoint | Differential | Delta
 
-let format_version = '\002'
+let format_version = '\003'
 let frame_overhead = 10
 
-let kind_char = function Checkpoint -> 'C' | Delta -> 'D'
-let kind_of_char = function 'C' -> Some Checkpoint | 'D' -> Some Delta | _ -> None
+let kind_char = function Checkpoint -> 'C' | Differential -> 'X' | Delta -> 'D'
+
+let kind_of_char = function
+  | 'C' -> Some Checkpoint
+  | 'X' -> Some Differential
+  | 'D' -> Some Delta
+  | _ -> None
+
+let header_kind s =
+  if String.length s < frame_overhead || s.[4] <> format_version then None
+  else kind_of_char s.[5]
 
 (* The version and kind bytes of header [b], and the checksum state they
    start. *)

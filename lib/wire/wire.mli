@@ -19,9 +19,11 @@
     crashing.  Structural corruption {e inside} a checksum-valid payload —
     which a torn write cannot produce — raises {!Corrupt}.
 
-    The version byte is 2.  Version 1 frames (whose delta payloads carried
-    whole relation bodies) read as {!Torn}, so an old log is rejected,
-    never misread as key-level changes.
+    The version byte is 3.  Frames of an older version read as {!Torn}, so
+    an old log is rejected, never misread: version 1 delta payloads carried
+    whole relation bodies, and a version 2 reader, which knew no
+    {!Differential} frames, would have skipped a differential segment head
+    and recovered an older prefix.
 
     There is one relation codec: a single-version delta against a known
     predecessor (the WAL record), which carries only the key-level changes
@@ -40,7 +42,11 @@ val crc32c : string -> int32
 
 (** {1 Frames} *)
 
-type kind = Checkpoint | Delta
+type kind =
+  | Checkpoint  (** a segment head holding a database in full: a base *)
+  | Differential
+      (** a segment head holding the key-level changes since a base *)
+  | Delta  (** one version's key-level changes against its predecessor *)
 
 val frame : kind:kind -> string -> string
 (** Wrap a payload in a framed record as diagrammed above. *)
@@ -56,6 +62,11 @@ type frame_result =
       (** truncated, checksum-corrupt or unrecognized — never raises *)
 
 val read_frame : string -> pos:int -> frame_result
+
+val header_kind : string -> kind option
+(** The kind of the frame whose header starts the string, if it holds a
+    whole header of the current format version — for a store that must
+    tell which frame an append begins. *)
 
 (** {1 Encoding}
 
@@ -112,8 +123,9 @@ val write_int : encoder -> int -> unit
     Multi-version archives only travel between replica nodes of one
     process; the only archive ever persisted is the WAL checkpoint's
     one-version archive, which has no deltas, so its bytes are those the
-    earlier whole-relation layout wrote.  That is why {!read_frame}'s
-    version byte stays 2 and the magic stays ["FDBSNAP1"].  An archive of
+    earlier whole-relation layout wrote.  That is why the magic stays
+    ["FDBSNAP1"] (the frame version byte moved to 3 only for the
+    {!Differential} frame kind).  An archive of
     two or more versions in the earlier layout (each later version's
     changed relations as whole bodies) raises {!Corrupt} where a delta's
     first change tag is expected; only a re-sent body of an empty relation

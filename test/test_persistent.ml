@@ -160,6 +160,73 @@ let prop_btree_of_sorted branching =
       && IntBt.invariant t
       && IntBt.to_list t = Model.apply ~init ops)
 
+(* The page-sharing count [IntBt.shared_pages] made before it walked the
+   two trees in lockstep, kept here as its oracle: every page of the old
+   tree in a physical hash set, then each page of the new one looked up,
+   a hit counting its whole subtree. *)
+let shared_pages_by_hashing ~old t =
+  let module H = Hashtbl.Make (struct
+    type t = IntBt.page
+
+    let equal = ( == )
+    let hash = Hashtbl.hash
+  end) in
+  let seen = H.create 64 in
+  let rec remember p =
+    if not (H.mem seen p) then begin
+      H.add seen p ();
+      Array.iter remember (IntBt.subpages p)
+    end
+  in
+  remember (IntBt.root_page old);
+  let rec pages p = Array.fold_left (fun n c -> n + pages c) 1 (IntBt.subpages p) in
+  let rec go (shared, total) p =
+    if H.mem seen p then
+      let k = pages p in
+      (shared + k, total + k)
+    else Array.fold_left go (shared, total + 1) (IntBt.subpages p)
+  in
+  go (0, 0) (IntBt.root_page t)
+
+(* Lockstep sharing equals the hashing oracle between every ordered pair
+   of versions of a multi-step history — steps of up to 40 inserts and
+   deletes, so roots split and merge — from an [of_sorted] or an
+   [of_list] start. *)
+let prop_btree_shared_pages branching =
+  QCheck2.Test.make
+    ~name:(Printf.sprintf "btree(b=%d) shared_pages == oracle" branching)
+    ~count:80
+    ~print:QCheck2.Print.(triple int bool (list (list int)))
+    QCheck2.Gen.(
+      let* n = int_range 0 150 in
+      let* sorted = bool in
+      let* steps =
+        list_size (int_range 1 6)
+          (list_size (int_range 0 40) (int_range (-((2 * n) + 20)) ((2 * n) + 20)))
+      in
+      return (n, sorted, steps))
+    (fun (n, sorted, steps) ->
+      let init = List.init n (fun i -> 2 * i) in
+      let t0 =
+        if sorted then IntBt.of_sorted ~branching init
+        else IntBt.of_list ~branching init
+      in
+      let step t ops =
+        List.fold_left
+          (fun t op ->
+            if op >= 0 then IntBt.insert op t else fst (IntBt.delete (-op) t))
+          t ops
+      in
+      let versions =
+        List.rev (List.fold_left (fun acc ops -> step (List.hd acc) ops :: acc) [ t0 ] steps)
+      in
+      List.for_all
+        (fun old ->
+          List.for_all
+            (fun t -> IntBt.shared_pages ~old t = shared_pages_by_hashing ~old t)
+            versions)
+        versions)
+
 let test_btree_of_sorted_sizes () =
   (* Every size up to 600, and each capacity boundary b^h - 1 up to 5000
      with its neighbours: occupancy bounds hold, contents round-trip and the
@@ -488,7 +555,10 @@ let () =
         ]
         @ List.map
             (fun b -> QCheck_alcotest.to_alcotest (prop_btree_of_sorted b))
-            [ 3; 4; 7; 8; 16 ] );
+            [ 3; 4; 7; 8; 16 ]
+        @ List.map
+            (fun b -> QCheck_alcotest.to_alcotest (prop_btree_shared_pages b))
+            [ 3; 4; 8 ] );
       ( "cross-structure",
         [
           QCheck_alcotest.to_alcotest prop_structures_agree;

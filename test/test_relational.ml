@@ -339,6 +339,79 @@ let prop_diff_replays =
           replays ~old r && Relation.diff ~old old = [])
         backends)
 
+(* [Relation.apply_diff] as it was before list relations merged sorted
+   changes in one pass, kept as its oracle: each change a delete, then an
+   insert, from the head. *)
+let apply_one_by_one r changes =
+  List.fold_left
+    (fun acc (key, change) ->
+      match acc with
+      | Error _ -> acc
+      | Ok r -> (
+          let (r, _) = Relation.delete_key r key in
+          match change with
+          | None -> Ok r
+          | Some tup ->
+              if Tuple.arity tup = 0 || not (Value.equal (Tuple.key tup) key)
+              then Error "Relation.apply_diff: tuple key differs from its change key"
+              else Result.map fst (Relation.insert r tup)))
+    (Ok r) changes
+
+type change_kind = Gone | Row of (int * string * float) | Wrong_key | Bad_schema
+
+let change_of (k, kind) =
+  ( v_int k,
+    match kind with
+    | Gone -> None
+    | Row row -> Some (diff_row k row)
+    | Wrong_key -> Some (diff_row (k + 1) (0, "", 0.0))
+    | Bad_schema -> Some (Tuple.make [ v_int k; v_str "short" ]) )
+
+(* Every backend, any change list — in key order (the merge path on a
+   list relation) or not, valid or not — gives what the one-by-one
+   application gives: the same contents, or the same first error. *)
+let prop_apply_diff_matches_one_by_one =
+  QCheck2.Test.make ~name:"apply_diff == one-by-one, all backends" ~count:200
+    QCheck2.Gen.(
+      triple
+        (list_size (int_range 0 30) (pair gen_diff_key gen_diff_row))
+        (list_size (int_range 0 30)
+           (pair gen_diff_key
+              (frequency
+                 [ (4, pure Gone); (8, map (fun r -> Row r) gen_diff_row);
+                   (1, pure Wrong_key); (1, pure Bad_schema) ])))
+        bool)
+    (fun (rows, changes, sorted) ->
+      let changes =
+        if sorted then List.sort_uniq (fun (a, _) (b, _) -> compare a b) changes
+        else changes
+      in
+      let changes = List.map change_of changes in
+      List.for_all
+        (fun backend ->
+          let old = diff_rel backend rows in
+          match (Relation.apply_diff old changes, apply_one_by_one old changes) with
+          | (Ok r, Ok r') -> exact_tuples (Relation.to_list r) (Relation.to_list r')
+          | (Error e, Error e') -> e = e'
+          | _ -> false)
+        backends)
+
+(* A diff that rewrites every tuple of a 1000-tuple list relation — 1000
+   changes — applies to the contents a rebuild has. *)
+let test_apply_diff_list_rewrite () =
+  let old =
+    diff_rel Relation.List_backend (List.init 1000 (fun k -> (k, (k, "v", 0.5))))
+  in
+  let target = List.init 1000 (fun k -> (k, (k, "w", -0.0))) in
+  let rebuilt = diff_rel Relation.List_backend target in
+  let changes = Relation.diff ~old rebuilt in
+  Alcotest.(check int) "1000 changes" 1000 (List.length changes);
+  match Relation.apply_diff old changes with
+  | Ok r ->
+      Alcotest.(check bool) "equals the rebuild" true
+        (exact_tuples (Relation.to_list r) (Relation.to_list rebuilt))
+  | Error e -> Alcotest.fail e
+
 let test_diff_cases () =
   let rows = List.init 10 (fun k -> (k - 3, (k, Printf.sprintf "s%d" k, 0.5))) in
   List.iter
@@ -856,5 +929,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_diff_matches_oracle;
           Alcotest.test_case "one step in a large relation" `Quick
             test_diff_one_step_large;
+          QCheck_alcotest.to_alcotest prop_apply_diff_matches_one_by_one;
+          Alcotest.test_case "1000-change list rewrite" `Quick
+            test_apply_diff_list_rewrite;
         ] );
     ]

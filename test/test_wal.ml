@@ -57,6 +57,8 @@ let check_recovered msg (r : Wal.recovery) vs =
       (Oracle.db_equal (History.version r.Wal.rhistory (i - r.Wal.base)) vs.(i))
   done
 
+let tup_kv k s = Tuple.make [ Value.Int k; Value.Str s ]
+
 let is_clean (r : Wal.recovery) =
   match r.Wal.stop with Wal.Clean -> true | Wal.Stopped _ -> false
 
@@ -350,7 +352,20 @@ let crashing_store mem ~target ~limit =
         end);
   }
 
-(* A crash while the next segment's checkpoint frame is being written —
+(* [vs] logged so that the next checkpoint is a base, so a multi-chunk
+   frame: [Wal.base_every - 1] differentials over version 0, then the
+   appends. *)
+let write_chain_to_base store vs =
+  let w = Wal.create ~store vs.(0) in
+  for _ = 1 to Wal.base_every - 1 do
+    Wal.checkpoint w
+  done;
+  for i = 1 to Array.length vs - 1 do
+    Wal.append w vs.(i)
+  done;
+  w
+
+(* A crash while the next segment's base frame is being written —
    inside its header, on each chunk boundary and a byte either side —
    leaves the previous segment to recover from: every synced version comes
    back, and the trace obeys the durability law. *)
@@ -358,7 +373,7 @@ let test_torn_multichunk_checkpoint () =
   let vs = big_chain () in
   let frame_len =
     let mem = Wal.Mem.create () in
-    let w = write_chain (Wal.Mem.store mem) vs in
+    let w = write_chain_to_base (Wal.Mem.store mem) vs in
     Wal.checkpoint w;
     String.length (Wal.Mem.get mem (Wal.segment_name (Wal.segment w)))
   in
@@ -382,7 +397,7 @@ let test_torn_multichunk_checkpoint () =
       let store = crashing_store mem ~target ~limit in
       let ((), trace) =
         Trace.record (fun () ->
-            let w = write_chain store vs in
+            let w = write_chain_to_base store vs in
             Wal.sync w;
             target := Wal.segment_name (Wal.segment w + 1);
             limit := cut;
@@ -403,6 +418,259 @@ let test_torn_multichunk_checkpoint () =
            (Trace_oracle.durability trace)))
     cuts
 
+
+(* -- differential checkpoints ------------------------------------------------- *)
+
+let kv_schema =
+  Schema.make ~name:"R" ~cols:[ ("key", Schema.CInt); ("val", Schema.CStr) ]
+
+(* R holding [n] tuples with even keys, then [k] versions, the [i]th
+   inserting odd key [2i - 1]: element 0 is the initial database. *)
+let kv_chain ~n ~k =
+  let db0 =
+    match
+      Database.of_tuples ~backend:(Relation.Btree_backend 8) [ kv_schema ]
+        [ ("R", List.init n (fun j -> tup_kv (2 * j) "v")) ]
+    with
+    | Ok db -> db
+    | Error e -> Alcotest.fail e
+  in
+  let vs = Array.make (k + 1) db0 in
+  for i = 1 to k do
+    match Database.insert vs.(i - 1) ~rel:"R" (tup_kv ((2 * i) - 1) "new") with
+    | Ok (db, true) -> vs.(i) <- db
+    | _ -> Alcotest.fail "insert"
+  done;
+  vs
+
+let head_kind mem n = Wire.header_kind (Wal.Mem.get mem (Wal.segment_name n))
+
+let segments store =
+  List.filter_map Wal.segment_number (store.Wal.Store.list_files ())
+
+(* Append [vs.(lo..hi)] to [w]. *)
+let append_range w vs lo hi =
+  for i = lo to hi do
+    Wal.append w vs.(i)
+  done
+
+(* A torn differential falls back to the previous checkpoint — itself a
+   differential on the genesis base — and the deltas after it: every
+   synced version comes back, and the trace obeys the durability law. *)
+let test_torn_differential () =
+  let vs = kv_chain ~n:200 ~k:6 in
+  (* base v0 in seg 0, a differential over v3 in seg 1, then v4..v6 *)
+  let setup store =
+    let w = Wal.create ~store vs.(0) in
+    append_range w vs 1 3;
+    Wal.checkpoint w;
+    append_range w vs 4 6;
+    Wal.sync w;
+    w
+  in
+  let frame_len =
+    let mem = Wal.Mem.create () in
+    let w = setup (Wal.Mem.store mem) in
+    Alcotest.(check bool) "seg 1 is a differential" true
+      (head_kind mem 1 = Some Wire.Differential);
+    Wal.checkpoint w;
+    Alcotest.(check bool) "seg 2 is a differential" true
+      (head_kind mem 2 = Some Wire.Differential);
+    Alcotest.(check (list int)) "the base and the newest differential kept"
+      [ 0; 2 ] (segments (Wal.Mem.store mem));
+    String.length (Wal.Mem.get mem (Wal.segment_name 2))
+  in
+  List.iter
+    (fun cut ->
+      let msg = Printf.sprintf "cut at byte %d of %d" cut frame_len in
+      let mem = Wal.Mem.create () in
+      let target = ref "" and limit = ref 0 in
+      let store = crashing_store mem ~target ~limit in
+      let ((), trace) =
+        Trace.record (fun () ->
+            let w = setup store in
+            target := Wal.segment_name 2;
+            limit := cut;
+            (match Wal.checkpoint w with
+            | exception Crash -> ()
+            | () -> Alcotest.fail (msg ^ ": no crash"));
+            let r = Wal.recover store in
+            Alcotest.(check int) (msg ^ ": previous differential") 3 r.Wal.base;
+            Alcotest.(check int) (msg ^ ": every synced version") 6 r.Wal.upto;
+            Alcotest.(check bool) (msg ^ ": clean") true (is_clean r);
+            check_recovered msg r vs)
+      in
+      Alcotest.(check (list string)) (msg ^ ": durability law") []
+        (List.map
+           (fun v -> v.Trace_oracle.detail)
+           (Trace_oracle.durability trace)))
+    [ 0; Wire.frame_overhead - 1; Wire.frame_overhead; frame_len / 2;
+      frame_len - 1 ]
+
+(* A differential whose base segment is gone is passed over: with no
+   other checkpoint the log is rejected; with an older differential and
+   its base still present, recovery falls back to them. *)
+let test_missing_base () =
+  let vs = kv_chain ~n:200 ~k:(Wal.base_every + 2) in
+  let mem = Wal.Mem.create () in
+  let store = Wal.Mem.store mem in
+  let w = Wal.create ~store vs.(0) in
+  append_range w vs 1 1;
+  Wal.checkpoint w;
+  Wal.sync w;
+  let genesis = Wal.Mem.get mem (Wal.segment_name 0) in
+  store.Wal.Store.remove (Wal.segment_name 0);
+  (match Wal.recover store with
+  | exception Wire.Corrupt _ -> ()
+  | r -> Alcotest.failf "recovered %d..%d without a base" r.Wal.base r.Wal.upto);
+  Wal.Mem.set mem (Wal.segment_name 0) genesis;
+  (* checkpoints 2..15 are differentials over v0, the 16th a base *)
+  for i = 2 to Wal.base_every - 1 do
+    append_range w vs i i;
+    Wal.checkpoint w
+  done;
+  append_range w vs Wal.base_every Wal.base_every;
+  let last_diff = Wal.segment w in
+  let saved = Wal.Mem.get mem (Wal.segment_name last_diff) in
+  Wal.checkpoint w;
+  Alcotest.(check bool) "a base" true
+    (head_kind mem (Wal.segment w) = Some Wire.Checkpoint);
+  let new_base = Wal.segment w in
+  append_range w vs (Wal.base_every + 1) (Wal.base_every + 1);
+  Wal.checkpoint w;
+  Wal.sync w;
+  (* the older generation comes back; the newer base goes *)
+  Wal.Mem.set mem (Wal.segment_name 0) genesis;
+  Wal.Mem.set mem (Wal.segment_name last_diff) saved;
+  store.Wal.Store.remove (Wal.segment_name new_base);
+  let r = Wal.recover store in
+  Alcotest.(check int) "the older differential" (Wal.base_every - 1) r.Wal.base;
+  Alcotest.(check int) "and its delta" Wal.base_every r.Wal.upto;
+  check_recovered "older generation" r vs
+
+(* Checkpoints 1..15 are differentials on the genesis base, which stays
+   while they need it; the 16th is a base, and once it is down every
+   older segment goes. *)
+let test_base_every () =
+  let vs = kv_chain ~n:200 ~k:Wal.base_every in
+  let mem = Wal.Mem.create () in
+  let store = Wal.Mem.store mem in
+  let w = Wal.create ~store vs.(0) in
+  for i = 1 to Wal.base_every - 1 do
+    append_range w vs i i;
+    Wal.checkpoint w;
+    Alcotest.(check bool)
+      (Printf.sprintf "checkpoint %d a differential" i)
+      true
+      (head_kind mem i = Some Wire.Differential);
+    Alcotest.(check (list int))
+      (Printf.sprintf "checkpoint %d: base and newest kept" i)
+      [ 0; i ] (segments store);
+    Alcotest.(check bool) "base held" true (Wal.base w == vs.(0))
+  done;
+  append_range w vs Wal.base_every Wal.base_every;
+  Wal.checkpoint w;
+  Alcotest.(check bool) "checkpoint 16 a base" true
+    (head_kind mem Wal.base_every = Some Wire.Checkpoint);
+  Alcotest.(check (list int)) "old base deleted" [ Wal.base_every ]
+    (segments store);
+  Alcotest.(check bool) "new base held" true (Wal.base w == Wal.latest w);
+  let r = Wal.recover store in
+  Alcotest.(check int) "base" Wal.base_every r.Wal.base;
+  check_recovered "after the new base" r vs
+
+(* A differential larger than a quarter of its base's frame is written as
+   a base instead: 60 tuples into an empty relation, then one tuple on
+   the 60. *)
+let test_size_rule () =
+  let db0 = Database.create ~backend:(Relation.Btree_backend 8) [ kv_schema ] in
+  let put db k =
+    match Database.insert db ~rel:"R" (tup_kv k "some value") with
+    | Ok (db', true) -> db'
+    | _ -> Alcotest.fail "insert"
+  in
+  let db60 = List.fold_left put db0 (List.init 60 Fun.id) in
+  let mem = Wal.Mem.create () in
+  let store = Wal.Mem.store mem in
+  let w = Wal.create ~store db0 in
+  Wal.append w db60;
+  Wal.checkpoint w;
+  Alcotest.(check bool) "outgrown differential: a base" true
+    (head_kind mem 1 = Some Wire.Checkpoint);
+  Alcotest.(check (list int)) "genesis deleted" [ 1 ] (segments store);
+  Wal.append w (put db60 100);
+  Wal.checkpoint w;
+  Alcotest.(check bool) "small differential" true
+    (head_kind mem 2 = Some Wire.Differential);
+  let r = Wal.recover store in
+  Alcotest.(check int) "upto" 2 r.Wal.upto;
+  Alcotest.(check bool) "state" true
+    (Oracle.db_equal (put db60 100) (History.latest r.Wal.rhistory))
+
+(* A log recovered through a differential resumes on a fresh base, and
+   the resumed log recovers the whole continued chain. *)
+let test_resume_after_differential () =
+  let vs = kv_chain ~n:200 ~k:10 in
+  let mem = Wal.Mem.create () in
+  let store = Wal.Mem.store mem in
+  let w = Wal.create ~sync_every:2 ~store vs.(0) in
+  append_range w vs 1 3;
+  Wal.checkpoint w;
+  append_range w vs 4 5;
+  Wal.sync w;
+  Wal.Mem.crash ~rand:(Random.State.make [| 3 |]) mem;
+  let r = Wal.recover store in
+  Alcotest.(check int) "from the differential" 3 r.Wal.base;
+  Alcotest.(check int) "nothing lost" 5 r.Wal.upto;
+  let w2 = Wal.resume ~sync_every:2 ~store r in
+  Alcotest.(check bool) "a fresh base" true
+    (head_kind mem (Wal.segment w2) = Some Wire.Checkpoint);
+  Alcotest.(check (list int)) "older segments gone" [ Wal.segment w2 ]
+    (segments store);
+  append_range w2 vs 6 8;
+  Wal.checkpoint w2;
+  append_range w2 vs 9 10;
+  Wal.sync w2;
+  let r2 = Wal.recover store in
+  Alcotest.(check int) "differential on the resumed base" 8 r2.Wal.base;
+  Alcotest.(check int) "whole chain" 10 r2.Wal.upto;
+  check_recovered "resumed" r2 vs
+
+(* Every frame of [log] re-stamped with format version [v]: a log as a
+   writer of that version laid it out when only the version byte (and
+   the checksum over it) differ, as between formats 2 and 3 for base and
+   delta frames. *)
+let restamp v log =
+  let b = Bytes.of_string log in
+  let rec go pos =
+    if pos < Bytes.length b then begin
+      let len = Int32.to_int (Bytes.get_int32_le b pos) in
+      Bytes.set b (pos + 4) v;
+      Bytes.set_int32_le b (pos + 6)
+        (Wire.crc32c (Bytes.sub_string b (pos + 4) 2
+                      ^ Bytes.sub_string b (pos + 10) len));
+      go (pos + 10 + len)
+    end
+  in
+  go 0;
+  Bytes.to_string b
+
+(* A format-2 log — which could hold no differential, so a format-2
+   reader would misread a format-3 log — is rejected whole. *)
+let test_format2_rejected () =
+  let vs = kv_chain ~n:20 ~k:3 in
+  let mem = Wal.Mem.create () in
+  let w = write_chain (Wal.Mem.store mem) vs in
+  Wal.sync w;
+  let log = Wal.Mem.get mem (Wal.segment_name 0) in
+  let old = Wal.Mem.create () in
+  Wal.Mem.set old (Wal.segment_name 0) (restamp '\002' log);
+  Alcotest.(check string) "restamped to 3 is the log" log (restamp '\003' log);
+  match Wal.recover (Wal.Mem.store old) with
+  | exception Wire.Corrupt _ -> ()
+  | r ->
+      Alcotest.failf "a format-2 log recovered versions %d..%d" r.Wal.base
+        r.Wal.upto
 
 let ev kind = { Event.ts = 0; site = 0; kind }
 
@@ -533,6 +801,7 @@ let test_run_disk_sweep () =
                  (Sim.disk_fault_name fault) checkpoint_every seed)
               true
               (o.Sim.disk_recovered >= o.Sim.disk_durable);
+            Alcotest.(check bool) "the kill happened" true o.Sim.disk_fired;
             Alcotest.(check bool) "recoveries metered" true
               (match
                  List.assoc_opt "wal.recoveries"
@@ -554,10 +823,11 @@ let test_disk_fault_names_roundtrip () =
 
 (* -- commit-path guards ---------------------------------------------------------- *)
 
-(* The writer holds only its newest version: every version appended before
-   it is garbage once the caller lets go.  The versions are built and
-   appended in a function of their own, so nothing but the weak table and
-   the writer can reach them afterwards. *)
+(* The writer holds only its newest version and its base (here the
+   genesis version, which a differential checkpoint would diff against):
+   every version appended in between is garbage once the caller lets go.
+   The versions are built and appended in a function of their own, so
+   nothing but the weak table and the writer can reach them afterwards. *)
 let test_writer_keeps_newest_only () =
   let n = 12 in
   let seen = Weak.create n in
@@ -575,12 +845,16 @@ let test_writer_keeps_newest_only () =
   let (w, count) = log () in
   Alcotest.(check bool) "enough versions" true (count >= 4);
   Gc.full_major ();
-  for i = 0 to count - 2 do
+  for i = 1 to count - 2 do
     Alcotest.(check bool)
       (Printf.sprintf "version %d unreachable" i)
       true
       (Option.is_none (Weak.get seen i))
   done;
+  Alcotest.(check bool) "base still held" true
+    (match Weak.get seen 0 with
+    | Some db -> db == Wal.base w
+    | None -> false);
   Alcotest.(check bool) "newest still held" true
     (match Weak.get seen (count - 1) with
     | Some db -> db == Wal.latest w
@@ -647,8 +921,12 @@ let test_checkpoint_chunks_weak () =
     }
   in
   let w = Wal.create ~store (big_db ()) in
+  for _ = 1 to Wal.base_every - 1 do
+    Wal.checkpoint w
+  done;
   Weak.fill seen 0 (Weak.length seen) None;
   n := 0;
+  (* a base: the differentials before it were one string each *)
   Wal.checkpoint w;
   Alcotest.(check bool) "a header and several chunks" true (!n >= 4);
   Gc.full_major ();
@@ -658,11 +936,13 @@ let test_checkpoint_chunks_weak () =
   done;
   Alcotest.(check int) "writer alive" 0 (Wal.appended w)
 
-(* A checkpoint that follows another with no major cycle completed in
-   between reuses its chunks — so does the genesis checkpoint of a new
+(* A base checkpoint that follows another with no major cycle completed
+   in between reuses its chunks — so does the genesis base of a new
    writer — and allocates under two chunks of major-heap words (the copied
    tail and small change), where a frame built in a growing buffer and
-   then copied would cost the whole frame twice over. *)
+   then copied would cost the whole frame twice over.  Each base here is
+   the [Wal.base_every]th checkpoint since the one before, and the
+   differentials in between cost a few small strings. *)
 let test_checkpoint_reuses_chunks () =
   let null =
     {
@@ -676,6 +956,11 @@ let test_checkpoint_reuses_chunks () =
   in
   let db = big_db () in
   let w = Wal.create ~sync_every:0 ~store:null db in
+  let base_checkpoint () =
+    for _ = 1 to Wal.base_every do
+      Wal.checkpoint w
+    done
+  in
   (* a direct major-heap allocation is counted at the next minor
      collection *)
   let stat () =
@@ -687,7 +972,7 @@ let test_checkpoint_reuses_chunks () =
     (* start from a finished cycle: a cycle already marking could clear
        the weak pool before its count moves *)
     Gc.full_major ();
-    Wal.checkpoint w;
+    base_checkpoint ();
     let s1 = stat () in
     second ();
     let s2 = stat () in
@@ -701,7 +986,7 @@ let test_checkpoint_reuses_chunks () =
     end
     else attempt what second (tries - 1)
   in
-  attempt "checkpoint" (fun () -> Wal.checkpoint w) 5;
+  attempt "checkpoint" base_checkpoint 5;
   attempt "new writer"
     (fun () -> ignore (Wal.create ~sync_every:0 ~store:null db))
     5
@@ -920,6 +1205,19 @@ let () =
             test_compaction_then_crash;
           Alcotest.test_case "torn multi-chunk checkpoint" `Quick
             test_torn_multichunk_checkpoint;
+        ] );
+      ( "differential",
+        [
+          Alcotest.test_case "torn differential falls back" `Quick
+            test_torn_differential;
+          Alcotest.test_case "missing base segment" `Quick test_missing_base;
+          Alcotest.test_case "16th checkpoint is a base" `Quick
+            test_base_every;
+          Alcotest.test_case "size rule" `Quick test_size_rule;
+          Alcotest.test_case "resume after a differential" `Quick
+            test_resume_after_differential;
+          Alcotest.test_case "format-2 log rejected" `Quick
+            test_format2_rejected;
         ] );
       ( "oracle",
         [

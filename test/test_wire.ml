@@ -202,6 +202,32 @@ let test_frame_format1_torn () =
       Alcotest.(check string) "reason" "unknown format version 1" reason
   | Wire.Frame _ | Wire.End_of_input -> Alcotest.fail "format-1 frame accepted"
 
+(* A frame of format version 2, which had no differential frames, reads
+   as Torn: a format-2 reader would have skipped a differential segment
+   head, so the formats must not mix. *)
+let test_frame_format2_torn () =
+  let payload = "0;FDBSNAP11;0;" in
+  let b = Bytes.of_string (Wire.frame ~kind:Wire.Checkpoint payload) in
+  Bytes.set b 4 '\002';
+  Bytes.set_int32_le b 6 (Wire.crc32c ("\002C" ^ payload));
+  match Wire.read_frame (Bytes.to_string b) ~pos:0 with
+  | Wire.Torn { offset; reason } ->
+      Alcotest.(check int) "offset at version byte" 4 offset;
+      Alcotest.(check string) "reason" "unknown format version 2" reason
+  | Wire.Frame _ | Wire.End_of_input -> Alcotest.fail "format-2 frame accepted"
+
+(* The kind of a frame is read from its header alone. *)
+let test_header_kind () =
+  List.iter
+    (fun kind ->
+      let f = Wire.frame ~kind "payload" in
+      Alcotest.(check bool) "whole frame" true (Wire.header_kind f = Some kind);
+      Alcotest.(check bool) "header only" true
+        (Wire.header_kind (String.sub f 0 Wire.frame_overhead) = Some kind);
+      Alcotest.(check bool) "short header" true
+        (Wire.header_kind (String.sub f 0 (Wire.frame_overhead - 1)) = None))
+    [ Wire.Checkpoint; Wire.Differential; Wire.Delta ]
+
 (* -- archive payloads ------------------------------------------------------- *)
 
 let check_history_equal expected actual =
@@ -459,7 +485,9 @@ let test_version_delta_garbage_raises () =
    of one encoded length in "U", then one string of 150 000 bytes in "L" —
    carry every value kind with its edge values in "E", and come in every
    backend.  The MD5s pin the bytes the Buffer-based frame writer wrote
-   before the chunk encoder replaced it. *)
+   before the chunk encoder replaced it, re-stamped with format version 3
+   (the payloads are unchanged; the version byte and the checksum over it
+   differ). *)
 
 let ckpt_cols =
   [ ("key", Schema.CInt); ("big", Schema.CInt); ("flag", Schema.CBool);
@@ -499,11 +527,11 @@ let ckpt_state backend =
   | Error e -> Alcotest.fail e
 
 let ckpt_pins =
-  [ (Relation.List_backend, "332a874deb82c3887ab8e62df8cb8fb6");
-    (Relation.Avl_backend, "da1d9b99364d450b603406d13382a89f");
-    (Relation.Two3_backend, "ce49aab3277f513797481025f0812660");
-    (Relation.Btree_backend 8, "6745ce3f7fec9dd71b8b7504f3c04068");
-    (Relation.Column_backend 8, "0f356590187d9bdf0538351bfaabc52d") ]
+  [ (Relation.List_backend, "371aae62421fd30670b189f0ed58ab1e");
+    (Relation.Avl_backend, "c411cb4e034dc40b3fe2f15744d362e8");
+    (Relation.Two3_backend, "9dc920caf1c52397096270ace48dcfb4");
+    (Relation.Btree_backend 8, "c6aa45617fb76247365c869ede36559f");
+    (Relation.Column_backend 8, "6dcd8190face6b44aa9fbe08892d256d") ]
 
 (* A tuple's bytes, spelled out apart from the encoder. *)
 let tuple_bytes tup =
@@ -575,10 +603,13 @@ let test_checkpoint_frames_pinned () =
           Alcotest.(check bool) (name ^ ": decoded") true
             (Oracle.db_equal db (History.latest h))
       | _ -> Alcotest.fail (name ^ ": not an intact checkpoint frame"));
-      (* the next checkpoint rewrites the writer's chunks in place *)
-      Wal.checkpoint w;
+      (* the next base rewrites the writer's chunks in place; the
+         checkpoints before it are differentials *)
+      for _ = 1 to Wal.base_every do
+        Wal.checkpoint w
+      done;
       Alcotest.(check string) (name ^ ": reused chunks") pin
-        (md5 (Wal.Mem.get mem (Wal.segment_name 1)));
+        (md5 (Wal.Mem.get mem (Wal.segment_name Wal.base_every)));
       let r = Wal.recover store in
       Alcotest.(check bool) (name ^ ": recovered") true
         (r.Wal.stop = Wal.Clean && r.Wal.base = 0 && r.Wal.upto = 0
@@ -607,6 +638,8 @@ let () =
           Alcotest.test_case "prefixes torn" `Quick test_frame_prefixes_torn;
           Alcotest.test_case "bitflips torn" `Quick test_frame_bitflips_torn;
           Alcotest.test_case "format-1 frame torn" `Quick test_frame_format1_torn;
+          Alcotest.test_case "format-2 frame torn" `Quick test_frame_format2_torn;
+          Alcotest.test_case "header kind" `Quick test_header_kind;
           Alcotest.test_case "multi-chunk checkpoints pinned" `Quick
             test_checkpoint_frames_pinned;
         ] );
