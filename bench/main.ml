@@ -824,6 +824,27 @@ let micro () =
   let tagged = Experiment.merged_workload w in
   let spec = Pipeline.db_spec_of_workload w in
   let query_src = "select val from R1 where key >= 10 and not (val = \"x\")" in
+  (* the repository benchmark's scan-par image, 16 relations x 4k tuples,
+     which a microbatch rebuilds and lists; and a payload the size of the
+     ingest image's genesis base (4.9 MB) *)
+  let scan =
+    Fdb_workload.Openloop.generate
+      { Fdb_workload.Openloop.relations = 16; initial_tuples = 16 * 4_000;
+        tenants = 4; seed = 1;
+        phases =
+          [ { Fdb_workload.Openloop.name = "none"; txns = 0;
+              mix = Fdb_workload.Openloop.read_mix; storm = None } ] }
+  in
+  let scan_spec =
+    { Pipeline.schemas = scan.Fdb_workload.Openloop.schemas;
+      initial = scan.Fdb_workload.Openloop.initial }
+  in
+  let scan_rel =
+    match Fdb_relational.Database.slots (Pipeline.initial_database scan_spec) with
+    | (_, r) :: _ -> r
+    | [] -> invalid_arg "micro: empty scan image"
+  in
+  let base_bytes = String.init 4_900_000 (fun i -> Char.unsafe_chr ((i * 7919) land 0xFF)) in
   let tests =
     [ Test.make ~name:"plist.insert(n=1000)"
         (Staged.stage (fun () -> ignore (IntPl.insert 501 pl)));
@@ -838,6 +859,12 @@ let micro () =
       Test.make ~name:"query.parse"
         (Staged.stage (fun () ->
              ignore (Fdb_query.Parser.parse_exn query_src)));
+      Test.make ~name:"initial_database(16x4k)"
+        (Staged.stage (fun () -> ignore (Pipeline.initial_database scan_spec)));
+      Test.make ~name:"relation.to_list(btree-8,4k)"
+        (Staged.stage (fun () -> ignore (Fdb_relational.Relation.to_list scan_rel)));
+      Test.make ~name:"wire.crc32c(4.9MB)"
+        (Staged.stage (fun () -> ignore (Fdb_wire.Wire.crc32c base_bytes)));
       Test.make ~name:"pipeline.run(50txn,ideal)"
         (Staged.stage (fun () -> ignore (Pipeline.run spec tagged)));
       Test.make ~name:"pipeline.reference(50txn)"

@@ -14,7 +14,9 @@ type token =
 
 exception Lex_error of string * int
 
-let keywords = [ "if"; "then"; "else"; "RESULT" ]
+let is_keyword = function
+  | "if" | "then" | "else" | "RESULT" -> true
+  | _ -> false
 
 let is_digit c = c >= '0' && c <= '9'
 let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
@@ -94,7 +96,7 @@ let tokens src =
           else continue := false
         done;
         let word = String.sub src i (!j - i) in
-        if List.mem word keywords then go !j (KW word :: acc)
+        if is_keyword word then go !j (KW word :: acc)
         else go !j (IDENT word :: acc)
       end
       else raise (Lex_error (Printf.sprintf "unexpected character %C" c, i))

@@ -58,7 +58,12 @@ module Make (Elt : Ordered.S) = struct
 
   let to_list t =
     let rec go acc = function
-      | Leaf keys -> Array.fold_right (fun x acc -> x :: acc) keys acc
+      | Leaf keys ->
+          let acc = ref acc in
+          for i = Array.length keys - 1 downto 0 do
+            acc := keys.(i) :: !acc
+          done;
+          !acc
       | Dir (children, keys) ->
           let n = Array.length keys in
           let acc = ref (go acc children.(n)) in
@@ -427,40 +432,62 @@ module Make (Elt : Ordered.S) = struct
      two children.  An even split over the fewest children leaves each
      child of height h at least half full, (b^h - 1) / 2 elements, so it in
      turn takes at least ceil (b / 2) = min_keys + 1 children: every
-     non-root page keeps min_keys..max_keys keys. *)
-  let of_sorted ?branching xs =
+     non-root page keeps min_keys..max_keys keys.  Pages fill in order
+     straight from the list, each element checked against the next, so
+     the input is walked once and never copied. *)
+  let of_ascending ?branching xs =
     let t = create ?branching () in
-    let a = Array.of_list xs in
-    let n = Array.length a in
-    for i = 1 to n - 1 do
-      if Elt.compare a.(i - 1) a.(i) >= 0 then
-        invalid_arg "Btree.of_sorted: input not strictly ascending"
-    done;
-    let b = t.branching in
-    let rec build lo count cap =
-      if cap < b then Leaf (Array.sub a lo count)
-      else
-        let slot = (cap + 1) / b in
-        let c = (count + slot) / slot in
-        let base = (count - c + 1) / c and extra = (count - c + 1) mod c in
-        let keys = Array.make (c - 1) a.(lo) in
-        let children = Array.make c (Leaf [||]) in
-        let pos = ref lo in
-        for i = 0 to c - 1 do
-          let size = if i < extra then base + 1 else base in
-          children.(i) <- build !pos size (slot - 1);
-          pos := !pos + size;
-          if i < c - 1 then begin
-            keys.(i) <- a.(!pos);
-            incr pos
-          end
-        done;
-        Dir (children, keys)
-    in
-    let rec root_cap cap =
-      if cap >= n then cap else root_cap ((b * cap) + b - 1)
-    in
-    { t with root = build 0 n (root_cap (b - 1)) }
+    match xs with
+    | [] -> Some t
+    | first :: _ ->
+        let b = t.branching and n = List.length xs in
+        let exception Not_ascending in
+        (* Move the next [len] elements into [keys] from [i], each checked
+           against the one after it; the rest of the list is returned. *)
+        let rec fill keys i len xs =
+          if len = 0 then xs
+          else
+            match xs with
+            | x :: rest ->
+                (match rest with
+                | y :: _ when Elt.compare x y >= 0 -> raise Not_ascending
+                | _ -> ());
+                keys.(i) <- x;
+                fill keys (i + 1) (len - 1) rest
+            | [] -> raise Not_ascending (* not reached: the sizes sum to [n] *)
+        in
+        (* [first] fills each array until every slot is written *)
+        let rec build count cap xs =
+          if cap < b then
+            let keys = Array.make count first in
+            (Leaf keys, fill keys 0 count xs)
+          else
+            let slot = (cap + 1) / b in
+            let c = (count + slot) / slot in
+            let base = (count - c + 1) / c and extra = (count - c + 1) mod c in
+            let keys = Array.make (c - 1) first in
+            let children = Array.make c (Leaf [||]) in
+            let rec go i xs =
+              let (child, xs) =
+                build (if i < extra then base + 1 else base) (slot - 1) xs
+              in
+              children.(i) <- child;
+              if i = c - 1 then xs else go (i + 1) (fill keys i 1 xs)
+            in
+            let rest = go 0 xs in
+            (Dir (children, keys), rest)
+        in
+        let rec root_cap cap =
+          if cap >= n then cap else root_cap ((b * cap) + b - 1)
+        in
+        match build n (root_cap (b - 1)) xs with
+        | (root, _) -> Some { t with root }
+        | exception Not_ascending -> None
+
+  let of_sorted ?branching xs =
+    match of_ascending ?branching xs with
+    | Some t -> t
+    | None -> invalid_arg "Btree.of_sorted: input not strictly ascending"
 
   let open_page page rest =
     match page with

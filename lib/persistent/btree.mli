@@ -29,6 +29,11 @@ module Make (Elt : Ordered.S) : sig
       insert than one from {!of_list}.
       @raise Invalid_argument if the input is not strictly ascending. *)
 
+  val of_ascending : ?branching:int -> Elt.t list -> t option
+  (** {!of_sorted}'s tree, or [None] if the input is not strictly
+      ascending: one pass over the list, which is checked as the pages
+      fill. *)
+
   val to_list : t -> Elt.t list
 
   val size : t -> int

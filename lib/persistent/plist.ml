@@ -8,15 +8,21 @@ module Make (Elt : Ordered.S) = struct
   (* Both constructors cons the cells back to front from the reversed input:
      one tail-recursive pass, so million-element images cannot overflow the
      stack. *)
+  let of_ascending xs =
+    let exception Not_ascending in
+    let cons r x =
+      match r with
+      | Cons (next, _) when Elt.compare x next >= 0 -> raise Not_ascending
+      | _ -> Cons (x, r)
+    in
+    match List.fold_left cons Nil (List.rev xs) with
+    | t -> Some t
+    | exception Not_ascending -> None
+
   let of_sorted xs =
-    List.fold_left
-      (fun r x ->
-        (match r with
-        | Cons (next, _) when Elt.compare x next >= 0 ->
-            invalid_arg "Plist.of_sorted: input not strictly ascending"
-        | _ -> ());
-        Cons (x, r))
-      Nil (List.rev xs)
+    match of_ascending xs with
+    | Some t -> t
+    | None -> invalid_arg "Plist.of_sorted: input not strictly ascending"
 
   let of_list xs =
     List.fold_left (fun r x -> Cons (x, r)) Nil

@@ -19,6 +19,10 @@ module Make (Elt : Ordered.S) : sig
       without the per-element prefix copy of repeated {!insert}.
       @raise Invalid_argument if the input is not strictly ascending. *)
 
+  val of_ascending : Elt.t list -> t option
+  (** {!of_sorted}'s list, or [None] if the input is not strictly
+      ascending. *)
+
   val to_list : t -> Elt.t list
 
   val size : t -> int

@@ -17,8 +17,23 @@ let keywords =
     "count"; "sum"; "min"; "max"; "update"; "set"; "join"; "and"; "or";
     "not"; "on"; "true"; "false" ]
 
+module Words = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+(* Each keyword maps to itself, so a [KW] token shares the table's string.
+   Built once and never written after, so domains read it freely. *)
+let keyword_table =
+  let t = Words.create 64 in
+  List.iter (fun k -> Words.replace t k k) keywords;
+  t
+
 let is_digit c = c >= '0' && c <= '9'
-let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+let is_upper c = c >= 'A' && c <= 'Z'
+let is_alpha c = (c >= 'a' && c <= 'z') || is_upper c || c = '_'
 let is_alnum c = is_alpha c || is_digit c
 
 let tokens src =
@@ -77,14 +92,16 @@ let tokens src =
           | None -> raise (Lex_error ("integer literal out of range", i))
       end
       else if is_alpha c then begin
-        let j = ref i in
+        let j = ref i and upper = ref false in
         while !j < n && is_alnum src.[!j] do
+          if is_upper src.[!j] then upper := true;
           incr j
         done;
         let word = String.sub src i (!j - i) in
-        let lower = String.lowercase_ascii word in
-        if List.mem lower keywords then go !j (KW lower :: acc)
-        else go !j (IDENT word :: acc)
+        let lower = if !upper then String.lowercase_ascii word else word in
+        match Words.find_opt keyword_table lower with
+        | Some kw -> go !j (KW kw :: acc)
+        | None -> go !j (IDENT word :: acc)
       end
       else raise (Lex_error (Printf.sprintf "unexpected character %C" c, i))
   in

@@ -24,9 +24,19 @@ let expect_kw c kw =
   | Lexer.KW k when String.equal k kw -> ()
   | t -> fail "expected '%s', got %a" kw Lexer.pp_token t
 
+(* [expect] only ever waits for punctuation, which carries no payload. *)
 let expect c tok name =
   let t = next c in
-  if t <> tok then fail "expected %s, got %a" name Lexer.pp_token t
+  let same =
+    match (t, tok) with
+    | (Lexer.LPAREN, Lexer.LPAREN)
+    | (Lexer.RPAREN, Lexer.RPAREN)
+    | (Lexer.COMMA, Lexer.COMMA)
+    | (Lexer.STAR, Lexer.STAR) ->
+        true
+    | _ -> false
+  in
+  if not same then fail "expected %s, got %a" name Lexer.pp_token t
 
 let ident c =
   match next c with

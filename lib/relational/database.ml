@@ -87,13 +87,18 @@ let load db ~rel tuples =
       | Ok db -> Result.map fst (insert db ~rel tup))
     (Ok db) tuples
 
+let rec tuples_of name = function
+  | [] -> None
+  | (n, tuples) :: rest ->
+      if String.equal n name then Some tuples else tuples_of name rest
+
 let of_tuples ?backend schemas initial =
   let db = create ?backend schemas in
   let rels = Array.copy db.rels in
   let rec go i = function
     | [] -> Ok { db with rels }
     | schema :: rest -> (
-        match List.assoc_opt (Schema.name schema) initial with
+        match tuples_of (Schema.name schema) initial with
         | None -> go (i + 1) rest
         | Some tuples -> (
             match Relation.of_tuples ?backend schema tuples with

@@ -212,10 +212,10 @@ let update ?meter ?lo ?hi r rewrite =
 
 let of_tuples ?(backend = List_backend) schema tuples =
   (* Bulk paths validate in input order (the insert fold's first error),
-     then sort and keep the first tuple per key, O(n log n), or O(n) on
-     input already ascending by key: inserts would copy a list prefix or a
-     column chunk per tuple, and B-tree pages build bottom-up.  AVL and 2-3
-     trees keep their O(n log n) insert fold. *)
+     then build in one O(n) pass from input already ascending by key, or
+     else sort and keep the first tuple per key, O(n log n): inserts would
+     copy a list prefix or a column chunk per tuple, and B-tree pages build
+     bottom-up.  AVL and 2-3 trees keep their O(n log n) insert fold. *)
   let bulk build =
     match List.find_opt (fun tup -> not (Schema.matches schema tup)) tuples with
     | Some tup -> Error (schema_error schema tup)
@@ -223,10 +223,15 @@ let of_tuples ?(backend = List_backend) schema tuples =
   in
   match backend with
   | List_backend ->
-      bulk (fun () -> L (PL.of_sorted (Tuple.sort_keep_first tuples)))
+      bulk (fun () ->
+          match PL.of_ascending tuples with
+          | Some l -> L l
+          | None -> L (PL.of_sorted (Tuple.sort_keep_first tuples)))
   | Btree_backend b ->
       bulk (fun () ->
-          B (BT.of_sorted ~branching:b (Tuple.sort_keep_first tuples)))
+          match BT.of_ascending ~branching:b tuples with
+          | Some t -> B t
+          | None -> B (BT.of_sorted ~branching:b (Tuple.sort_keep_first tuples)))
   | Column_backend chunk -> bulk (fun () -> C (CO.of_list ~chunk tuples))
   | Avl_backend | Two3_backend ->
       let rec go r = function

@@ -29,9 +29,14 @@ let type_ok ctype v =
       true
   | ((CInt | CStr | CBool | CReal), _) -> false
 
+(* Columns and values walked together: no list is built per tuple. *)
 let matches s tuple =
-  Tuple.arity tuple = arity s
-  && List.for_all2 type_ok (List.map snd s.cols) (Array.to_list tuple)
+  let n = Array.length tuple in
+  let rec go i = function
+    | [] -> i = n
+    | (_, ctype) :: rest -> i < n && type_ok ctype tuple.(i) && go (i + 1) rest
+  in
+  go 0 s.cols
 
 let pp_ctype ppf = function
   | CInt -> Format.fprintf ppf "int"

@@ -77,21 +77,31 @@ let key_in_span key = function
 
 type verdict = No_overlap | Key_disjoint | Overlapping
 
+let rec spans_of rel = function
+  | [] -> None
+  | (name, spans) :: rest ->
+      if String.equal name rel then Some spans else spans_of rel rest
+
 let overlap ~writer ~reader =
+  (* the reader's spans on each relation the writer wrote keys of *)
   let shared =
-    List.filter
-      (fun (rel, keys) -> keys <> [] && List.mem_assoc rel reader.reads)
+    List.filter_map
+      (fun (rel, keys) ->
+        match keys with
+        | [] -> None
+        | _ :: _ -> Option.map (fun spans -> (keys, spans)) (spans_of rel reader.reads))
       writer.writes
   in
-  if shared = [] then No_overlap
-  else if
-    List.exists
-      (fun (rel, keys) ->
-        let spans = List.assoc rel reader.reads in
-        List.exists (fun k -> List.exists (key_in_span k) spans) keys)
-      shared
-  then Overlapping
-  else Key_disjoint
+  match shared with
+  | [] -> No_overlap
+  | _ :: _ ->
+      if
+        List.exists
+          (fun (keys, spans) ->
+            List.exists (fun k -> List.exists (key_in_span k) spans) keys)
+          shared
+      then Overlapping
+      else Key_disjoint
 
 let commutes ~schema_of (writer : t) (reader_q : Ast.query) =
   (* Only queries whose response (and, for update, whose own effects) are a

@@ -6,83 +6,47 @@ exception Corrupt of { offset : int; reason : string }
 let corrupt offset fmt =
   Format.kasprintf (fun reason -> raise (Corrupt { offset; reason })) fmt
 
-(* -- CRC32c (Castagnoli), table-driven, reflected -------------------------
+(* -- CRC32c (Castagnoli), reflected ------------------------------------------
 
-   The state is a native int holding 32 bits, so the loops allocate
-   nothing.  Table [k] (entries [256k .. 256k+255]) advances a byte [k]
-   positions further than table 0, the classic byte table, so the main
-   loop folds eight bytes per step ("slicing-by-8").  The tables are built
-   on first use, so a program that never checksums never holds them;
-   domains racing on that first use each build identical tables, and
-   either may publish — no lock, and no [Lazy.Undefined] on a pool
-   domain. *)
+   The state is a native int holding 32 bits, so feeding allocates
+   nothing.  The loop is C (crc32c_stubs.c): the SSE4.2 [crc32]
+   instruction over three interleaved streams where the host has it, a
+   slicing-by-8 table loop elsewhere.  Its tables are built when this
+   module initialises, before any pool domain can checksum. *)
 
-let crc_tables = Atomic.make [||]
+external crc_init_tables : unit -> bool = "fdb_crc32c_init"
 
-let crc_byte t c byte = Array.unsafe_get t ((c lxor byte) land 0xFF) lxor (c lsr 8)
+external crc_update :
+  (int[@untagged]) -> string -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) = "fdb_crc32c_update_byte" "fdb_crc32c_update"
+[@@noalloc]
 
-let tables () =
-  let t = Atomic.get crc_tables in
-  if Array.length t > 0 then t
-  else begin
-    let t = Array.make (8 * 256) 0 in
-    for n = 0 to 255 do
-      let c = ref n in
-      for _ = 0 to 7 do
-        c := if !c land 1 <> 0 then (!c lsr 1) lxor 0x82F63B78 else !c lsr 1
-      done;
-      t.(n) <- !c
-    done;
-    for i = 256 to (8 * 256) - 1 do
-      t.(i) <- crc_byte t t.(i - 256) 0
-    done;
-    Atomic.set crc_tables t;
-    t
-  end
+external crc_update_table :
+  (int[@untagged]) -> string -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) = "fdb_crc32c_update_table_byte" "fdb_crc32c_update_table"
+[@@noalloc]
+
+let crc32c_hardware = crc_init_tables ()
 
 (* An unsigned 32-bit little-endian field as a native int. *)
 let le32 s pos = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF
 
-external get64u : string -> int -> int64 = "%caml_string_get64u"
-external swap64 : int64 -> int64 = "%bswap_int64"
-
-(* 8 bytes at [pos] as a little-endian int64, unchecked. *)
-let get64u_le s pos =
-  if Sys.big_endian then swap64 (get64u s pos) else get64u s pos
-
 (* Raw update: feed bytes into a running (pre-finalization) crc state.
-   The range is checked once, so the main loop reads each 8 bytes with
-   one unchecked little-endian load. *)
-let crc_feed state s pos len =
+   The range is checked here, once, so the C loop reads unchecked. *)
+let crc_feed_with update state s pos len =
   if pos < 0 || len < 0 || pos > String.length s - len then
     invalid_arg "Wire.crc_feed";
-  let t = tables () in
-  let slice k v = Array.unsafe_get t ((k * 256) + (v land 0xFF)) in
-  let c = ref state and i = ref pos in
-  let stop8 = pos + len - 8 in
-  while !i <= stop8 do
-    let w = get64u_le s !i in
-    let lo = !c lxor (Int64.to_int w land 0xFFFFFFFF)
-    and hi = Int64.to_int (Int64.shift_right_logical w 32) in
-    c :=
-      slice 7 lo
-      lxor slice 6 (lo lsr 8)
-      lxor slice 5 (lo lsr 16)
-      lxor slice 4 (lo lsr 24)
-      lxor slice 3 hi
-      lxor slice 2 (hi lsr 8)
-      lxor slice 1 (hi lsr 16)
-      lxor slice 0 (hi lsr 24);
-    i := !i + 8
-  done;
-  for j = !i to pos + len - 1 do
-    c := crc_byte t !c (Char.code s.[j])
-  done;
-  !c
+  update state s pos len
+
+let crc_feed = crc_feed_with crc_update
 
 let crc_init = 0xFFFFFFFF
 let crc_finish c = c lxor 0xFFFFFFFF
 let crc32c s = Int32.of_int (crc_finish (crc_feed crc_init s 0 (String.length s)))
+
+let crc32c_sub ?(table = false) s ~pos ~len =
+  let update = if table then crc_update_table else crc_update in
+  Int32.of_int (crc_finish (crc_feed_with update crc_init s pos len))
 
 (* -- the encoder ---------------------------------------------------------------
 
@@ -123,19 +87,46 @@ let tuple_bound tup =
 
 (* [put_*] write at [pos] with no capacity check and return the position
    just past what they wrote; the caller has checked the bound.  An int's
-   digits come from its non-positive magnitude, which holds [min_int]
-   too. *)
-let rec put_digits b pos m =
-  let pos = if m <= -10 then put_digits b pos (m / 10) else pos in
-  Bytes.unsafe_set b pos (Char.unsafe_chr (Char.code '0' - (m mod 10)));
-  pos + 1
+   digits are written right to left, two per division, once its length
+   is known. *)
+let digit_pairs =
+  String.init 200 (fun i ->
+      Char.chr (Char.code '0' + if i land 1 = 0 then i / 20 else i / 2 mod 10))
+
+(* the number of decimal digits of [n] >= [p / 10], [p] being 10^[k] *)
+let rec decimal_length n p k =
+  if k = 19 || n < p then k else decimal_length n (p * 10) (k + 1)
+
+let put_nat b pos n =
+  let len = if n < 10 then 1 else decimal_length n 100 2 in
+  let i = ref (pos + len - 1) and n = ref n in
+  while !n >= 100 do
+    let q = !n / 100 in
+    let r = 2 * (!n - (q * 100)) in
+    Bytes.unsafe_set b !i (String.unsafe_get digit_pairs (r + 1));
+    Bytes.unsafe_set b (!i - 1) (String.unsafe_get digit_pairs r);
+    i := !i - 2;
+    n := q
+  done;
+  if !n >= 10 then begin
+    Bytes.unsafe_set b !i (String.unsafe_get digit_pairs ((2 * !n) + 1));
+    Bytes.unsafe_set b (!i - 1) (String.unsafe_get digit_pairs (2 * !n))
+  end
+  else Bytes.unsafe_set b !i (Char.unsafe_chr (Char.code '0' + !n));
+  pos + len
 
 let put_int b pos n =
   let pos =
-    if n >= 0 then put_digits b pos (-n)
+    if n >= 0 then put_nat b pos n
     else begin
       Bytes.unsafe_set b pos '-';
-      put_digits b (pos + 1) n
+      if n > min_int then put_nat b (pos + 1) (-n)
+      else begin
+        (* -min_int overflows: its last digit goes separately *)
+        let pos = put_nat b (pos + 1) (-(n / 10)) in
+        Bytes.unsafe_set b pos (Char.unsafe_chr (Char.code '0' - (n mod 10)));
+        pos + 1
+      end
     end
   in
   Bytes.unsafe_set b pos ';';

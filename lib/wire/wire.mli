@@ -40,6 +40,16 @@ exception Corrupt of { offset : int; reason : string }
 val crc32c : string -> int32
 (** CRC32c (Castagnoli) of the whole string; the frame checksum. *)
 
+val crc32c_sub : ?table:bool -> string -> pos:int -> len:int -> int32
+(** CRC32c of the [len] bytes of the string from [pos].  With [~table:true]
+    it always takes the slicing-by-8 table loop, the fallback for hosts
+    without SSE4.2, so the two paths can be checked against each other.
+    @raise Invalid_argument if the range is not inside the string. *)
+
+val crc32c_hardware : bool
+(** Whether this host computes {!crc32c} with the SSE4.2 [crc32]
+    instruction rather than the table loop. *)
+
 (** {1 Frames} *)
 
 type kind =

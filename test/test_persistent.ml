@@ -72,7 +72,9 @@ let test_plist_of_sorted () =
     (fun xs ->
       Alcotest.check_raises "not strictly ascending"
         (Invalid_argument "Plist.of_sorted: input not strictly ascending")
-        (fun () -> ignore (IntList.of_sorted xs)))
+        (fun () -> ignore (IntList.of_sorted xs));
+      Alcotest.(check bool) "of_ascending refuses" true
+        (Option.is_none (IntList.of_ascending xs)))
     [ [ 2; 1 ]; [ 1; 1 ]; [ 1; 5; 3; 7 ] ]
 
 let prop_plist_model =
@@ -259,6 +261,34 @@ let test_btree_of_sorted_sizes () =
         (Invalid_argument "Btree.of_sorted: input not strictly ascending")
         (fun () -> ignore (IntBt.of_sorted xs)))
     [ [ 2; 1 ]; [ 1; 1 ]; [ 1; 5; 3; 7 ] ]
+
+(* [of_ascending] over every size up to 3b^2: ascending input gives the
+   tree ([to_list] round-trips, every page within its occupancy bounds);
+   an adjacent pair swapped or repeated anywhere gives [None]. *)
+let test_btree_of_ascending () =
+  List.iter
+    (fun b ->
+      for n = 0 to 3 * b * b do
+        let xs = List.init n (fun i -> 2 * i) in
+        (match IntBt.of_ascending ~branching:b xs with
+        | Some t when IntBt.invariant t && IntBt.to_list t = xs -> ()
+        | Some t ->
+            Alcotest.failf "of_ascending b=%d n=%d: invariant %b" b n
+              (IntBt.invariant t)
+        | None -> Alcotest.failf "of_ascending b=%d n=%d: refused" b n);
+        for i = 0 to n - 2 do
+          let swapped =
+            List.mapi (fun j x -> if j = i then x + 2 else if j = i + 1 then x - 2 else x) xs
+          and repeated = List.mapi (fun j x -> if j = i + 1 then x - 2 else x) xs in
+          List.iter
+            (fun (what, ys) ->
+              if IntBt.of_ascending ~branching:b ys <> None then
+                Alcotest.failf "of_ascending b=%d n=%d: %s at %d accepted" b n
+                  what i)
+            [ ("swap", swapped); ("repeat", repeated) ]
+        done
+      done)
+    [ 3; 4; 8 ]
 
 (* -- avl specifics --------------------------------------------------------- *)
 
@@ -552,6 +582,8 @@ let () =
           QCheck_alcotest.to_alcotest (prop_btree_model 7);
           Alcotest.test_case "of_sorted sizes and boundaries" `Quick
             test_btree_of_sorted_sizes;
+          Alcotest.test_case "of_ascending sizes, unsorted and repeated" `Quick
+            test_btree_of_ascending;
         ]
         @ List.map
             (fun b -> QCheck_alcotest.to_alcotest (prop_btree_of_sorted b))

@@ -43,6 +43,31 @@ let test_lexer_keywords_case_insensitive () =
   | [ Lexer.KW "insert"; Lexer.KW "into"; Lexer.IDENT "r" ] -> ()
   | _ -> Alcotest.fail "keyword case"
 
+(* Every keyword in any letter case is that keyword; a word that only
+   starts or ends with one is an identifier, its case kept. *)
+let test_lexer_keyword_boundaries () =
+  List.iter
+    (fun kw ->
+      let mixed = String.mapi (fun i c -> if i mod 2 = 0 then Char.uppercase_ascii c else c) kw in
+      List.iter
+        (fun word ->
+          match Lexer.tokens word with
+          | [ Lexer.KW k ] when String.equal k kw -> ()
+          | _ -> Alcotest.failf "%S did not lex as keyword %s" word kw)
+        [ kw; String.uppercase_ascii kw; mixed ])
+    Lexer.keywords;
+  List.iter
+    (fun word ->
+      match Lexer.tokens word with
+      | [ Lexer.IDENT w ] when String.equal w word -> ()
+      | _ -> Alcotest.failf "%S did not lex as an identifier" word)
+    [ "inserts"; "into_x"; "R_in"; "Insert1"; "_in"; "INTOx"; "ORDER"; "notes" ];
+  match Lexer.tokens "SeLeCt Val FROM R_in WHERE key>=2" with
+  | [ Lexer.KW "select"; Lexer.IDENT "Val"; Lexer.KW "from"; Lexer.IDENT "R_in";
+      Lexer.KW "where"; Lexer.IDENT "key"; Lexer.OP ">="; Lexer.INT 2 ] ->
+      ()
+  | _ -> Alcotest.fail "mixed-case query"
+
 let test_lexer_errors () =
   Alcotest.check_raises "unterminated string"
     (Lexer.Lex_error ("unterminated string", 0)) (fun () ->
@@ -345,6 +370,8 @@ let () =
             test_lexer_numbers_and_ops;
           Alcotest.test_case "case-insensitive keywords" `Quick
             test_lexer_keywords_case_insensitive;
+          Alcotest.test_case "keyword boundaries" `Quick
+            test_lexer_keyword_boundaries;
           Alcotest.test_case "errors" `Quick test_lexer_errors;
         ] );
       ( "parser",

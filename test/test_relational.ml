@@ -81,6 +81,48 @@ let test_schema () =
 
 (* -- relation, across all backends ----------------------------------------- *)
 
+(* [Schema.matches] as first written: the arities agree and every value
+   has its column's type, over lists built from both sides. *)
+let matches_spec s tuple =
+  let type_ok ctype v =
+    match (ctype, v) with
+    | (Schema.CInt, Value.Int _)
+    | (Schema.CStr, Value.Str _)
+    | (Schema.CBool, Value.Bool _)
+    | (Schema.CReal, Value.Real _) ->
+        true
+    | _ -> false
+  in
+  Tuple.arity tuple = Schema.arity s
+  && List.for_all2 type_ok (List.map snd (Schema.columns s)) (Array.to_list tuple)
+
+let gen_ctype = QCheck2.Gen.oneofl [ Schema.CInt; Schema.CStr; Schema.CBool; Schema.CReal ]
+
+let value_of_ctype = function
+  | Schema.CInt -> v_int 1
+  | Schema.CStr -> v_str "s"
+  | Schema.CBool -> Value.Bool true
+  | Schema.CReal -> Value.Real 0.5
+
+(* Tuples of one to five values against schemas of one to four columns:
+   the value types are drawn either from the schema (so arity and types
+   often agree) or at random. *)
+let prop_schema_matches_spec =
+  QCheck2.Test.make ~name:"Schema.matches == arity and per-column types"
+    ~count:1000
+    QCheck2.Gen.(
+      triple
+        (list_size (int_range 1 4) gen_ctype)
+        (list_size (int_range 1 5) gen_ctype)
+        bool)
+    (fun (cols, drawn, follow) ->
+      let s =
+        Schema.make ~name:"M" ~cols:(List.mapi (fun i c -> (Printf.sprintf "c%d" i, c)) cols)
+      in
+      let types = if follow then cols else drawn in
+      let tuple = Tuple.make (List.map value_of_ctype types) in
+      Bool.equal (Schema.matches s tuple) (matches_spec s tuple))
+
 let backends =
   [ Relation.List_backend; Relation.Avl_backend; Relation.Two3_backend;
     Relation.Btree_backend 4; Relation.Column_backend 4 ]
@@ -600,6 +642,45 @@ let same_load a b =
   | (Error x, Error y) -> String.equal x y
   | _ -> false
 
+(* Bulk loads into B-trees of branching 3, 4 and 8 at every size up to
+   3b^2: ascending input round-trips; input with one adjacent pair
+   swapped, or with a key repeated under another payload, loads what the
+   insert fold does (the first tuple per key). *)
+let test_btree_bulk_load_sizes () =
+  List.iter
+    (fun b ->
+      let backend = Relation.Btree_backend b in
+      for n = 0 to 3 * b * b do
+        let ts = List.init n (fun i -> tup i "v") in
+        (match Relation.of_tuples ~backend schema ts with
+        | Ok r when List.equal Tuple.equal (Relation.to_list r) ts -> ()
+        | _ -> Alcotest.failf "btree-%d n=%d: ascending load differs" b n);
+        List.iter
+          (fun i ->
+            if i >= 0 && i + 1 < n then begin
+              let swapped =
+                List.mapi
+                  (fun j t ->
+                    if j = i then tup (i + 1) "v" else if j = i + 1 then tup i "v" else t)
+                  ts
+              and repeated =
+                List.concat
+                  (List.mapi (fun j t -> if j = i then [ t; tup i "again" ] else [ t ]) ts)
+              in
+              List.iter
+                (fun (what, input) ->
+                  if
+                    not
+                      (same_load
+                         (Relation.of_tuples ~backend schema input)
+                         (insert_fold ~backend schema input))
+                  then Alcotest.failf "btree-%d n=%d: %s at %d" b n what i)
+                [ ("swap", swapped); ("repeat", repeated) ]
+            end)
+          [ 0; n / 2; n - 2 ]
+      done)
+    [ 3; 4; 8 ]
+
 let prop_of_tuples_is_insert_fold =
   QCheck2.Test.make ~name:"of_tuples == insert fold on every backend"
     ~count:300 ~print:print_tuples gen_load (fun tuples ->
@@ -884,7 +965,11 @@ let () =
           Alcotest.test_case "basics" `Quick test_tuple_basics;
           Alcotest.test_case "sort_keep_first" `Quick test_sort_keep_first;
         ] );
-      ("schema", [ Alcotest.test_case "basics" `Quick test_schema ]);
+      ( "schema",
+        [
+          Alcotest.test_case "basics" `Quick test_schema;
+          QCheck_alcotest.to_alcotest prop_schema_matches_spec;
+        ] );
       ( "relation",
         [
           Alcotest.test_case "roundtrip all backends" `Quick
@@ -902,6 +987,8 @@ let () =
       ( "bulkload",
         [
           QCheck_alcotest.to_alcotest prop_of_tuples_is_insert_fold;
+          Alcotest.test_case "btree bulk load sizes" `Quick
+            test_btree_bulk_load_sizes;
           QCheck_alcotest.to_alcotest prop_initial_database_is_load_fold;
           Alcotest.test_case "100k-tuple initial_database" `Quick
             test_initial_database_scale;

@@ -72,6 +72,44 @@ let prop_crc32c_bitwise =
     QCheck2.Gen.(string_size (int_range 0 70))
     (fun s -> Int32.equal (Wire.crc32c s) (bitwise_crc32c s))
 
+(* The hardware path (where the host has one) and the table loop agree at
+   every offset and every length up to 70 of random strings, and across
+   the interleaved paths' thresholds: 3 x 256 and 3 x 8192 bytes and a
+   64 KB encoder chunk, each with its neighbours, at every alignment; the
+   long ranges are also checked against the bitwise reference. *)
+let test_crc32c_paths_agree () =
+  let rand = Random.State.make [| 29 |] in
+  let random_string n = String.init n (fun _ -> Char.chr (Random.State.int rand 256)) in
+  let agree s pos len =
+    let hw = Wire.crc32c_sub s ~pos ~len
+    and table = Wire.crc32c_sub ~table:true s ~pos ~len in
+    if not (Int32.equal hw table) then
+      Alcotest.failf "pos %d len %d: %lx (default path) vs %lx (table)" pos len hw table
+  in
+  for _ = 1 to 4 do
+    let s = random_string 141 in
+    for pos = 0 to 70 do
+      for len = 0 to 70 do
+        agree s pos len
+      done
+    done
+  done;
+  let s = random_string ((3 * 8192) + 65536 + 32) in
+  List.iter
+    (fun len ->
+      for pos = 0 to 8 do
+        agree s pos len
+      done;
+      let sub = String.sub s 1 len in
+      Alcotest.(check int32) (Printf.sprintf "len %d vs bitwise" len) (bitwise_crc32c sub)
+        (Wire.crc32c_sub s ~pos:1 ~len))
+    (List.concat_map
+       (fun n -> [ n - 9; n - 8; n - 1; n; n + 1; n + 8; n + 9 ])
+       [ 3 * 256; 2 * 3 * 256; 3 * 8192; 65536; (3 * 8192) + 65536 ]);
+  Alcotest.check_raises "range outside the string"
+    (Invalid_argument "Wire.crc_feed") (fun () ->
+      ignore (Wire.crc32c_sub "abc" ~pos:2 ~len:2))
+
 (* -- varints ----------------------------------------------------------------- *)
 
 let test_int_roundtrip () =
@@ -81,9 +119,15 @@ let test_int_roundtrip () =
       Alcotest.(check string) (Printf.sprintf "bytes of %d" n) (string_of_int n ^ ";") s;
       Alcotest.(check (pair int int)) (Printf.sprintf "read %d" n)
         (n, String.length s) (Wire.read_int s ~pos:0))
-    [ 0; -1; 1; 9; 10; -10; 99; 100; 123456789; max_int; min_int;
-      max_int - 1; min_int + 1; 999; 1000; 999_999_999; 1_000_000_000;
-      0x3FFFFFFF; 0x40000000; -0x3FFFFFFF; -0x40000000; -0x40000001 ]
+    ([ 0; -1; 1; 9; 10; -10; 99; 100; 123456789; max_int; min_int;
+       max_int - 1; min_int + 1; 999; 1000; 999_999_999; 1_000_000_000;
+       0x3FFFFFFF; 0x40000000; -0x3FFFFFFF; -0x40000000; -0x40000001 ]
+    (* every digit count's first and last value, and the signs of both *)
+    @ List.concat_map
+        (fun k ->
+          let p = int_of_float (10. ** float_of_int k) in
+          [ p - 1; p; p + 1; 1 - p; -p; -p - 1 ])
+        (List.init 19 Fun.id))
 
 (* The checkpoint bytes depend on it: write_int writes exactly
    string_of_int's digits, for every int. *)
@@ -624,6 +668,8 @@ let () =
           Alcotest.test_case "check value" `Quick test_crc32c_check_value;
           Alcotest.test_case "sensitivity" `Quick test_crc32c_sensitivity;
           QCheck_alcotest.to_alcotest prop_crc32c_bitwise;
+          Alcotest.test_case "hardware and table paths agree" `Quick
+            test_crc32c_paths_agree;
         ] );
       ( "varint",
         [
