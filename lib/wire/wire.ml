@@ -14,7 +14,7 @@ let corrupt offset fmt =
    slicing-by-8 table loop elsewhere.  Its tables are built when this
    module initialises, before any pool domain can checksum. *)
 
-external crc_init_tables : unit -> bool = "fdb_crc32c_init"
+external crc_init_tables : unit -> unit = "fdb_crc32c_init"
 
 external crc_update :
   (int[@untagged]) -> string -> (int[@untagged]) -> (int[@untagged]) ->
@@ -26,7 +26,7 @@ external crc_update_table :
   (int[@untagged]) = "fdb_crc32c_update_table_byte" "fdb_crc32c_update_table"
 [@@noalloc]
 
-let crc32c_hardware = crc_init_tables ()
+let () = crc_init_tables ()
 
 (* An unsigned 32-bit little-endian field as a native int. *)
 let le32 s pos = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF

@@ -46,10 +46,6 @@ val crc32c_sub : ?table:bool -> string -> pos:int -> len:int -> int32
     without SSE4.2, so the two paths can be checked against each other.
     @raise Invalid_argument if the range is not inside the string. *)
 
-val crc32c_hardware : bool
-(** Whether this host computes {!crc32c} with the SSE4.2 [crc32]
-    instruction rather than the table loop. *)
-
 (** {1 Frames} *)
 
 type kind =
