@@ -839,10 +839,26 @@ let micro () =
     { Pipeline.schemas = scan.Fdb_workload.Openloop.schemas;
       initial = scan.Fdb_workload.Openloop.initial }
   in
-  let scan_rel =
-    match Fdb_relational.Database.slots (Pipeline.initial_database scan_spec) with
-    | (_, r) :: _ -> r
+  let scan_db = Pipeline.initial_database scan_spec in
+  let (scan_name, scan_rel) =
+    match Fdb_relational.Database.slots scan_db with
+    | slot :: _ -> slot
     | [] -> invalid_arg "micro: empty scan image"
+  in
+  (* the first relation holds keys 0, 16, ..., 63984: [16000, 18000) is 125
+     of its 4000 tuples, and the max below 32000 sits mid-relation *)
+  let count_lo = Fdb_relational.Relation.Inclusive (Fdb_relational.Value.Int 16_000)
+  and count_hi = Fdb_relational.Relation.Exclusive (Fdb_relational.Value.Int 18_000) in
+  let range_count () =
+    Fdb_relational.Relation.range_fold ~lo:count_lo ~hi:count_hi
+      (fun n _ -> n + 1)
+      0 scan_rel
+  in
+  if range_count () <> 125 then invalid_arg "micro: scan image changed shape";
+  let max_txn =
+    Fdb_txn.Txn.translate
+      (Fdb_query.Parser.parse_exn
+         (Printf.sprintf "max key from %s where key < 32000" scan_name))
   in
   let base_bytes = String.init 4_900_000 (fun i -> Char.unsafe_chr ((i * 7919) land 0xFF)) in
   let tests =
@@ -863,6 +879,10 @@ let micro () =
         (Staged.stage (fun () -> ignore (Pipeline.initial_database scan_spec)));
       Test.make ~name:"relation.to_list(btree-8,4k)"
         (Staged.stage (fun () -> ignore (Fdb_relational.Relation.to_list scan_rel)));
+      Test.make ~name:"range count(btree-8,125/4k)"
+        (Staged.stage (fun () -> ignore (range_count ())));
+      Test.make ~name:"max key where key<k(btree-8,4k)"
+        (Staged.stage (fun () -> ignore (max_txn scan_db)));
       Test.make ~name:"wire.crc32c(4.9MB)"
         (Staged.stage (fun () -> ignore (Fdb_wire.Wire.crc32c base_bytes)));
       Test.make ~name:"pipeline.run(50txn,ideal)"

@@ -103,21 +103,20 @@ module Make (Elt : Ordered.S) = struct
     in
     go [] t.root
 
-  let fold ?meter f acc t =
-    let rec go acc = function
-      | Leaf keys ->
-          Meter.alloc meter 1;
-          Array.fold_left f acc keys
-      | Dir (children, keys) ->
-          Meter.alloc meter 1;
-          let n = Array.length keys in
-          let acc = ref (go acc children.(0)) in
-          for i = 0 to n - 1 do
-            acc := go (f !acc keys.(i)) children.(i + 1)
-          done;
-          !acc
-    in
-    go acc t.root
+  let rec fold_node meter f acc = function
+    | Leaf keys ->
+        Meter.alloc meter 1;
+        Array.fold_left f acc keys
+    | Dir (children, keys) ->
+        Meter.alloc meter 1;
+        let n = Array.length keys in
+        let acc = ref (fold_node meter f acc children.(0)) in
+        for i = 0 to n - 1 do
+          acc := fold_node meter f (f !acc keys.(i)) children.(i + 1)
+        done;
+        !acc
+
+  let fold ?meter f acc t = fold_node meter f acc t.root
 
   let iter f t =
     let rec go = function
@@ -136,28 +135,85 @@ module Make (Elt : Ordered.S) = struct
     (* Child [i] of a directory holds elements strictly between keys [i-1]
        and [i]; descend only when that open interval can intersect the
        range, so just the boundary paths and in-range pages are visited
-       (and metered). *)
-    let rec go acc = function
+       (and metered).  [lo_ok]/[hi_ok] record that a bound already holds
+       for the whole page: a child between two in-range keys is folded
+       with no bound tests at all. *)
+    let rec go lo_ok hi_ok acc = function
+      | page when lo_ok && hi_ok -> fold_node meter f acc page
       | Leaf keys ->
           Meter.alloc meter 1;
           Array.fold_left
-            (fun acc x -> if ge_lo x && le_hi x then f acc x else acc)
+            (fun acc x ->
+              if (lo_ok || ge_lo x) && (hi_ok || le_hi x) then f acc x
+              else acc)
             acc keys
       | Dir (children, keys) ->
           Meter.alloc meter 1;
           let nk = Array.length keys in
-          let acc = ref acc in
-          for i = 0 to nk do
-            let descend =
-              (i = nk || ge_lo keys.(i)) && (i = 0 || le_hi keys.(i - 1))
-            in
-            if descend then acc := go !acc children.(i);
-            if i < nk && ge_lo keys.(i) && le_hi keys.(i) then
-              acc := f !acc keys.(i)
-          done;
-          !acc
+          (* [above]: every element of child [i] meets the lower bound
+             (key [i-1] does).  Past the first key above the range, no later
+             child or key can hold anything. *)
+          let rec walk acc i above =
+            if i = nk then go above hi_ok acc children.(nk)
+            else
+              let k = keys.(i) in
+              let k_ge = above || ge_lo k in
+              let k_le = hi_ok || le_hi k in
+              let acc = if k_ge then go above k_le acc children.(i) else acc in
+              if not k_le then acc
+              else walk (if k_ge then f acc k else acc) (i + 1) k_ge
+          in
+          walk acc 0 lo_ok
     in
-    go acc t.root
+    go false false acc t.root
+
+  (* The least element meeting [ge_lo] lies in the child left of the first
+     such directory key, or is that key; one path from the root, and the
+     range is empty unless that element also meets [le_hi]. *)
+  let range_first ~ge_lo ~le_hi t =
+    let rec go best = function
+      | Leaf keys ->
+          let n = Array.length keys in
+          let rec scan i =
+            if i = n then best
+            else if ge_lo keys.(i) then Some keys.(i)
+            else scan (i + 1)
+          in
+          scan 0
+      | Dir (children, keys) ->
+          let nk = Array.length keys in
+          let rec scan i =
+            if i = nk then go best children.(nk)
+            else if ge_lo keys.(i) then go (Some keys.(i)) children.(i)
+            else scan (i + 1)
+          in
+          scan 0
+    in
+    match go None t.root with
+    | Some x when le_hi x -> Some x
+    | Some _ | None -> None
+
+  (* [range_first] mirrored: the greatest element meeting [le_hi]. *)
+  let range_last ~ge_lo ~le_hi t =
+    let rec go best = function
+      | Leaf keys ->
+          let rec scan i =
+            if i < 0 then best
+            else if le_hi keys.(i) then Some keys.(i)
+            else scan (i - 1)
+          in
+          scan (Array.length keys - 1)
+      | Dir (children, keys) ->
+          let rec scan i =
+            if i < 0 then go best children.(0)
+            else if le_hi keys.(i) then go (Some keys.(i)) children.(i + 1)
+            else scan (i - 1)
+          in
+          scan (Array.length keys - 1)
+    in
+    match go None t.root with
+    | Some x when ge_lo x -> Some x
+    | Some _ | None -> None
 
   let rewrite ?meter ~ge_lo ~le_hi f t =
     let count = ref 0 in

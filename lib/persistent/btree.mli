@@ -66,7 +66,18 @@ module Make (Elt : Ordered.S) : sig
   (** In-order fold over the elements satisfying both bound predicates
       ([ge_lo] upward closed, [le_hi] downward closed).  Pages wholly
       outside the range are pruned; only pages actually visited are
-      metered — O(log n + k/B) pages for a k-element range. *)
+      metered — O(log n + k/B) pages for a k-element range.  A page that
+      lies wholly inside the range is folded without calling either
+      predicate. *)
+
+  val range_first :
+    ge_lo:(Elt.t -> bool) -> le_hi:(Elt.t -> bool) -> t -> Elt.t option
+  (** The least element satisfying both bound predicates, or [None]: one
+      root-to-leaf descent, O(log n) pages. *)
+
+  val range_last :
+    ge_lo:(Elt.t -> bool) -> le_hi:(Elt.t -> bool) -> t -> Elt.t option
+  (** The greatest element satisfying both bound predicates, or [None]. *)
 
   val rewrite :
     ?meter:Meter.t ->

@@ -266,12 +266,12 @@ let analyze_group schema ~indexes ~target pred =
         | (Ix_derived tgt, `Agg ((Ast.Min | Ast.Max), c)) -> String.equal tgt c
         | (Ix_derived tgt, `Agg (Ast.Sum, c)) ->
             String.equal tgt c
-            && (match Schema.column_index schema c with
-               | None -> false
-               | Some i -> (
-                   match snd (List.nth (Schema.columns schema) i) with
-                   | Schema.CInt | Schema.CReal -> true
-                   | Schema.CStr | Schema.CBool -> false))
+            && (match
+                  Option.bind (Schema.column_index schema c)
+                    (Schema.column_type schema)
+                with
+               | Some (Schema.CInt | Schema.CReal) -> true
+               | Some (Schema.CStr | Schema.CBool) | None -> false)
         | ((Ix_secondary | Ix_covering _), _) -> false
       in
       Option.map

@@ -8,15 +8,16 @@ let cmp_fun = function
   | Ast.Gt -> fun c -> c > 0
   | Ast.Ge -> fun c -> c >= 0
 
+let no_column schema col =
+  Error
+    (Printf.sprintf "relation %s has no column %s" (Schema.name schema) col)
+
 let compile schema pred =
   let rec go = function
     | Ast.True -> Ok (fun _ -> true)
     | Ast.Cmp (col, op, lit) -> (
         match Schema.column_index schema col with
-        | None ->
-            Error
-              (Printf.sprintf "relation %s has no column %s"
-                 (Schema.name schema) col)
+        | None -> no_column schema col
         | Some i ->
             let test = cmp_fun op in
             Ok (fun tup -> test (Value.compare (Tuple.get tup i) lit)))
@@ -36,16 +37,13 @@ let eval schema pred tuple =
 
 let compile_aggregate schema agg col where =
   match Schema.column_index schema col with
-  | None ->
-      Error
-        (Printf.sprintf "relation %s has no column %s" (Schema.name schema)
-           col)
+  | None -> no_column schema col
   | Some i -> (
-      match compile schema where with
-      | Error e -> Error e
-      | Ok test -> (
-          let col_type = List.nth (Schema.columns schema) i in
-          match (agg, snd col_type) with
+      match (compile schema where, Schema.column_type schema i) with
+      | (Error e, _) -> Error e
+      | (Ok _, None) -> no_column schema col
+      | (Ok test, Some ctype) -> (
+          match (agg, ctype) with
           | (Ast.Sum, (Schema.CInt | Schema.CReal)) ->
               let add a b =
                 match (a, b) with
@@ -63,7 +61,7 @@ let compile_aggregate schema agg col where =
               let finish = function
                 | None ->
                     Some
-                      (match snd col_type with
+                      (match ctype with
                       | Schema.CReal -> Value.Real 0.0
                       | _ -> Value.Int 0)
                 | acc -> acc
@@ -91,24 +89,22 @@ let compile_aggregate schema agg col where =
 
 let compile_update schema col value where =
   match Schema.column_index schema col with
-  | None ->
-      Error
-        (Printf.sprintf "relation %s has no column %s" (Schema.name schema)
-           col)
+  | None -> no_column schema col
   | Some 0 ->
       Error
         (Printf.sprintf "cannot update the key column %s of %s" col
            (Schema.name schema))
   | Some i -> (
-      let expected = snd (List.nth (Schema.columns schema) i) in
       let type_ok =
-        match (expected, value) with
-        | (Schema.CInt, Value.Int _)
-        | (Schema.CStr, Value.Str _)
-        | (Schema.CBool, Value.Bool _)
-        | (Schema.CReal, Value.Real _) ->
+        match (Schema.column_type schema i, value) with
+        | (Some Schema.CInt, Value.Int _)
+        | (Some Schema.CStr, Value.Str _)
+        | (Some Schema.CBool, Value.Bool _)
+        | (Some Schema.CReal, Value.Real _) ->
             true
-        | ((Schema.CInt | Schema.CStr | Schema.CBool | Schema.CReal), _) ->
+        | ( ( Some (Schema.CInt | Schema.CStr | Schema.CBool | Schema.CReal)
+            | None ),
+            _ ) ->
             false
       in
       if not type_ok then

@@ -70,6 +70,16 @@ val range_fold :
 val range : ?meter:Fdb_persistent.Meter.t -> ?lo:bound -> ?hi:bound -> t -> Tuple.t list
 (** [range_fold] materialized, ascending. *)
 
+val range_first : ?lo:bound -> ?hi:bound -> t -> Tuple.t option
+(** The tuple with the least key within the bounds, or [None] for an
+    empty range.  B-trees descend one root-to-leaf path, O(log n); the
+    other backends stop their {!range_fold} at its first tuple. *)
+
+val range_last : ?lo:bound -> ?hi:bound -> t -> Tuple.t option
+(** The tuple with the greatest key within the bounds, or [None].
+    B-trees descend one path, O(log n); the other backends keep the last
+    tuple of their {!range_fold}, no slower than counting the range. *)
+
 val update :
   ?meter:Fdb_persistent.Meter.t ->
   ?lo:bound ->

@@ -13,6 +13,13 @@ let name s = s.name
 let columns s = s.cols
 let arity s = List.length s.cols
 
+let column_type s i =
+  let rec go i = function
+    | [] -> None
+    | (_, ctype) :: rest -> if i = 0 then Some ctype else go (i - 1) rest
+  in
+  if i < 0 then None else go i s.cols
+
 let column_index s col =
   let rec go i = function
     | [] -> None

@@ -15,6 +15,9 @@ val arity : t -> int
 
 val column_index : t -> string -> int option
 
+val column_type : t -> int -> ctype option
+(** The type of column [i], or [None] when [i] is out of range. *)
+
 val matches : t -> Tuple.t -> bool
 (** Arity and per-column type agreement. *)
 

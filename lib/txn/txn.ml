@@ -10,6 +10,10 @@ let m_point = Fdb_obs.Metrics.counter "plan.path.point"
 let m_range = Fdb_obs.Metrics.counter "plan.path.range"
 let m_full = Fdb_obs.Metrics.counter "plan.path.full"
 
+(* Aggregates answered at a range endpoint rather than by a fold
+   ([key_endpoint]); each is also counted under its path above. *)
+let m_endpoint = Fdb_obs.Metrics.counter "plan.path.endpoint"
+
 let note_plan rel (plan : Plan.t) =
   (match plan.Plan.path with
   | Plan.Point_lookup _ -> Fdb_obs.Metrics.incr m_point
@@ -145,6 +149,28 @@ let fold_path r plan step acc =
   | Plan.Range_scan { lo; hi } ->
       Relation.range_fold ?lo:(rel_bound lo) ?hi:(rel_bound hi) step acc r
   | Plan.Full_scan -> Relation.fold step acc r
+
+(* MIN/MAX of the key column over a path that enforces the whole [where]
+   (no residual) is the key of the range's first or last tuple: [Some
+   found] for that tuple, [None] when the aggregate must fold.  The caller
+   still records the whole range as read, because a write anywhere in it
+   can change the answer. *)
+let key_endpoint r agg col (plan : Plan.t) =
+  let bounds =
+    match plan.Plan.path with
+    | Plan.Range_scan { lo; hi } -> Some (rel_bound lo, rel_bound hi)
+    | Plan.Full_scan -> Some (None, None)
+    | Plan.Point_lookup _ -> None
+  in
+  match
+    (agg, plan.Plan.residual, bounds,
+     Schema.column_index (Relation.schema r) col)
+  with
+  | (Ast.Min, Ast.True, Some (lo, hi), Some 0) ->
+      Some (Relation.range_first ?lo ?hi r)
+  | (Ast.Max, Ast.True, Some (lo, hi), Some 0) ->
+      Some (Relation.range_last ?lo ?hi r)
+  | _ -> None
 
 type tracker = {
   read_key : rel:string -> Value.t -> unit;
@@ -481,7 +507,14 @@ let translate ?tracker:tk ?index query : t =
                    narrows which tuples are offered to it. *)
                 let run_plan plan =
                   read_path rel plan;
-                  (Aggregated (finish (fold_path r plan step None)), db)
+                  let acc =
+                    match key_endpoint r agg col plan with
+                    | Some found ->
+                        Fdb_obs.Metrics.incr m_endpoint;
+                        Option.bind found (step None)
+                    | None -> fold_path r plan step None
+                  in
+                  (Aggregated (finish acc), db)
                 in
                 match ix_descs rel with
                 | [] -> run_plan (note_plan rel (Plan.analyze schema where))
@@ -527,7 +560,7 @@ let translate ?tracker:tk ?index query : t =
                         in
                         match ip.Plan.ipath with
                         | Plan.Primary path ->
-                            run_plan { Plan.path; residual = where }
+                            run_plan { Plan.path; residual = ip.Plan.iresidual }
                         | Plan.Index_group _ ->
                             fail db "aggregate cannot use this derived index"
                         | Plan.Index_scan { ix; ilo; ihi; only = _ } -> (

@@ -372,6 +372,46 @@ let test_btree_range () =
     (IntBt.range ~lo:40 ~hi:45 t);
   Alcotest.(check (list int)) "empty range" [] (IntBt.range ~lo:200 ~hi:300 t)
 
+(* [range_fold] and the endpoint descents against a filter over
+   [to_list], for random bounds: absent, inclusive or exclusive, empty
+   ranges and bounds beyond the keys included.  Trees grow by inserts and
+   shrink by deletes, so directory pages of every occupancy are met. *)
+let prop_btree_range_endpoints branching =
+  let gen_bound =
+    QCheck2.Gen.(option (pair bool (int_range (-10) 130)))
+  in
+  QCheck2.Test.make
+    ~name:(Printf.sprintf "btree(b=%d) range_fold/first/last == filter" branching)
+    ~count:300
+    QCheck2.Gen.(
+      triple (list_size (int_range 0 200) (int_range (-120) 120)) gen_bound
+        gen_bound)
+    (fun (ops, lo, hi) ->
+      let t =
+        List.fold_left
+          (fun t op ->
+            if op >= 0 then IntBt.insert op t else fst (IntBt.delete (-op) t))
+          (IntBt.create ~branching ())
+          ops
+      in
+      let ge_lo x =
+        match lo with
+        | None -> true
+        | Some (incl, v) -> if incl then x >= v else x > v
+      and le_hi x =
+        match hi with
+        | None -> true
+        | Some (incl, v) -> if incl then x <= v else x < v
+      in
+      let expected = List.filter (fun x -> ge_lo x && le_hi x) (IntBt.to_list t) in
+      let folded =
+        List.rev (IntBt.range_fold ~ge_lo ~le_hi (fun acc x -> x :: acc) [] t)
+      in
+      let last = List.fold_left (fun _ x -> Some x) None expected in
+      folded = expected
+      && IntBt.range_first ~ge_lo ~le_hi t = List.nth_opt expected 0
+      && IntBt.range_last ~ge_lo ~le_hi t = last)
+
 let test_btree_page_sharing_figure_2_2 () =
   (* The Figure 2-2 scenario: one insert rebuilds only the root-to-leaf
      path ("new directory"), sharing every other page with the old
@@ -590,6 +630,9 @@ let () =
             [ 3; 4; 7; 8; 16 ]
         @ List.map
             (fun b -> QCheck_alcotest.to_alcotest (prop_btree_shared_pages b))
+            [ 3; 4; 8 ]
+        @ List.map
+            (fun b -> QCheck_alcotest.to_alcotest (prop_btree_range_endpoints b))
             [ 3; 4; 8 ] );
       ( "cross-structure",
         [

@@ -319,7 +319,7 @@ let gen_case =
   QCheck2.Gen.(
     triple
       (list_size (int_range 0 40) (int_range 0 40))
-      gen_pred (int_range 0 3))
+      gen_pred (int_range 0 7))
 
 (* The pre-planner executor semantics, computed from first principles. *)
 let naive_query db query =
@@ -393,7 +393,13 @@ let prop_planner_matches_naive =
             | 0 -> Ast.Select { rel = "R"; cols = None; where }
             | 1 -> Ast.Select { rel = "R"; cols = Some [ "val"; "key" ]; where }
             | 2 -> Ast.Count { rel = "R"; where }
-            | _ -> Ast.Aggregate { agg = Ast.Sum; rel = "R"; col = "num"; where }
+            | 3 -> Ast.Aggregate { agg = Ast.Sum; rel = "R"; col = "num"; where }
+            (* min/max of the key may be answered at a range endpoint; of
+               [num], always by a fold *)
+            | 4 -> Ast.Aggregate { agg = Ast.Min; rel = "R"; col = "key"; where }
+            | 5 -> Ast.Aggregate { agg = Ast.Max; rel = "R"; col = "key"; where }
+            | 6 -> Ast.Aggregate { agg = Ast.Min; rel = "R"; col = "num"; where }
+            | _ -> Ast.Aggregate { agg = Ast.Max; rel = "R"; col = "num"; where }
           in
           let (resp, db') = Txn.translate query db in
           let expected = naive_query db query in
@@ -409,6 +415,48 @@ let prop_planner_matches_naive =
             QCheck2.Test.fail_reportf "read query replaced the db"
           else true)
         backends)
+
+(* The endpoint rule fires for MIN/MAX of the key over a range or full
+   scan with no residual, and only then; every answer is the naive
+   full-scan one, on every backend. *)
+let test_endpoint_rule () =
+  let m_endpoint = Fdb_obs.Metrics.counter "plan.path.endpoint" in
+  let cases =
+    [ ("max key from R where key < 40", true);
+      ("min key from R where key > 10 and key <= 20", true);
+      ("min key from R", true);
+      ("max key from R where key > 100", true);
+      ("min key from R where key >= 30 and key < 30", true);
+      ("max num from R where key < 40", false);
+      ("max key from R where key < 40 and num > 3", false);
+      ("min key from R where key = 5", false);
+      ("sum key from R where key < 40", false) ]
+  in
+  List.iter
+    (fun backend ->
+      let name = Relation.backend_name backend in
+      let db =
+        match
+          Database.load (Database.create ~backend [ schema ]) ~rel:"R"
+            (List.init 64 tup)
+        with
+        | Ok db -> db
+        | Error e -> Alcotest.fail e
+      in
+      List.iter
+        (fun (src, fires) ->
+          let query = Fdb_query.Parser.parse_exn src in
+          let e0 = Fdb_obs.Metrics.counter_value m_endpoint in
+          let (resp, _) = Txn.translate query db in
+          Alcotest.check response_t
+            (Printf.sprintf "%s: %s" name src)
+            (naive_query db query) resp;
+          Alcotest.(check int)
+            (Printf.sprintf "%s: %s answered at an endpoint" name src)
+            (if fires then 1 else 0)
+            (Fdb_obs.Metrics.counter_value m_endpoint - e0))
+        cases)
+    backends
 
 let prop_update_matches_naive =
   QCheck2.Test.make ~name:"planned update == naive rewrite (4 backends)"
@@ -541,6 +589,8 @@ let () =
       ( "equivalence",
         [
           QCheck_alcotest.to_alcotest prop_planner_matches_naive;
+          Alcotest.test_case "key min/max at the range endpoint" `Quick
+            test_endpoint_rule;
           QCheck_alcotest.to_alcotest prop_update_matches_naive;
           QCheck_alcotest.to_alcotest prop_hash_join_matches_nested;
           QCheck_alcotest.to_alcotest prop_sort_merge_set_ops;

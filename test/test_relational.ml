@@ -70,6 +70,9 @@ let test_schema () =
     (Schema.column_index schema "val");
   Alcotest.(check (option int)) "missing column" None
     (Schema.column_index schema "nope");
+  Alcotest.(check bool) "column_type" true
+    (List.map (Schema.column_type schema) [ -1; 0; 1; 2 ]
+    = [ None; Some Schema.CInt; Some Schema.CStr; None ]);
   Alcotest.(check bool) "matches" true (Schema.matches schema (tup 1 "a"));
   Alcotest.(check bool) "wrong type" false
     (Schema.matches schema (Tuple.make [ v_str "k"; v_str "v" ]));

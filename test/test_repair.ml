@@ -419,6 +419,56 @@ let test_pipeline_run_repair_differential () =
           done)
         [ 1; 4; 16 ])
 
+(* [max key where key < 100] is answered at the range's last tuple, yet
+   its footprint must still cover the whole range: an earlier insert of a
+   key under 100 that lands above the old maximum damages it, and only a
+   repair round gives the serial answer. *)
+let test_repair_endpoint_max () =
+  let db0 =
+    match
+      Database.load (Database.create schemas) ~rel:"R"
+        [ tup 10 "a"; tup 40 "b"; tup 150 "c" ]
+    with
+    | Ok db -> db
+    | Error e -> Alcotest.fail e
+  in
+  let max_q = q "max key from R where key < 100" in
+  let (_, _, fp) = footprint_of db0 max_q in
+  Alcotest.(check bool) "footprint is the whole range" true
+    (fp.Footprint.reads
+    = [ ("R", [ Footprint.Range (None, Some (Relation.Exclusive (Value.Int 100))) ]) ]);
+  let tagged =
+    [ (0, q "find 40 in R"); (1, q "insert (70, \"x\") into R"); (2, max_q);
+      (3, q "count R") ]
+  in
+  let spec =
+    { Pipeline.schemas; initial = Database.contents db0 }
+  in
+  let reference = Pipeline.reference ~semantics:Pipeline.Ordered_unique spec tagged in
+  (match List.assoc_opt 2 reference with
+  | Some (Pipeline.Aggregated (Some (Value.Int 70))) -> ()
+  | _ -> Alcotest.fail "reference: max key under 100 is not the inserted 70");
+  Pool.with_pool ~domains:2 (fun pool ->
+      List.iter
+        (fun batch ->
+          let rep =
+            Pipeline.execute
+              (Repair { pool; batch; index = None })
+              (Pipeline.initial_database spec)
+              tagged
+          in
+          List.iter2
+            (fun (t1, r1) (t2, r2) ->
+              if t1 <> t2 || not (Pipeline.response_equal r1 r2) then
+                Alcotest.failf "batch %d: (%d) %a vs reference (%d) %a" batch
+                  t1 Pipeline.pp_response r1 t2 Pipeline.pp_response r2)
+            (Pipeline.pipeline_responses rep)
+            reference)
+        [ 1; 2; 16 ]);
+  let r = Exec.run_batch ~domains:2 db0 (List.map snd tagged) in
+  Alcotest.(check bool) "the max was re-executed" true
+    (r.Exec.stats.Exec.reexecs >= 1)
+
 let test_pipeline_run_repair_validation () =
   Alcotest.check_raises "batch must be positive"
     (Invalid_argument "Pipeline.execute: repair batch must be >= 1") (fun () ->
@@ -647,6 +697,8 @@ let () =
             test_pipeline_run_repair_differential;
           Alcotest.test_case "argument validation" `Quick
             test_pipeline_run_repair_validation;
+          Alcotest.test_case "endpoint max keeps its range footprint" `Quick
+            test_repair_endpoint_max;
         ] );
       ( "differential",
         [
