@@ -167,33 +167,11 @@ module Make (Elt : Ordered.S) = struct
     in
     go false false acc t.root
 
-  (* The least element meeting [ge_lo] lies in the child left of the first
-     such directory key, or is that key; one path from the root, and the
-     range is empty unless that element also meets [le_hi]. *)
-  let range_first ~ge_lo ~le_hi t =
-    let rec go best = function
-      | Leaf keys ->
-          let n = Array.length keys in
-          let rec scan i =
-            if i = n then best
-            else if ge_lo keys.(i) then Some keys.(i)
-            else scan (i + 1)
-          in
-          scan 0
-      | Dir (children, keys) ->
-          let nk = Array.length keys in
-          let rec scan i =
-            if i = nk then go best children.(nk)
-            else if ge_lo keys.(i) then go (Some keys.(i)) children.(i)
-            else scan (i + 1)
-          in
-          scan 0
-    in
-    match go None t.root with
-    | Some x when le_hi x -> Some x
-    | Some _ | None -> None
-
-  (* [range_first] mirrored: the greatest element meeting [le_hi]. *)
+  (* The greatest element meeting [le_hi] lies in the child right of the
+     last such directory key, or is that key; one path from the root, and
+     the range is empty unless that element also meets [ge_lo].  (The
+     least element needs no descent of its own: [range_fold] stopped at
+     its first element takes the same path.) *)
   let range_last ~ge_lo ~le_hi t =
     let rec go best = function
       | Leaf keys ->

@@ -70,14 +70,11 @@ module Make (Elt : Ordered.S) : sig
       lies wholly inside the range is folded without calling either
       predicate. *)
 
-  val range_first :
-    ge_lo:(Elt.t -> bool) -> le_hi:(Elt.t -> bool) -> t -> Elt.t option
-  (** The least element satisfying both bound predicates, or [None]: one
-      root-to-leaf descent, O(log n) pages. *)
-
   val range_last :
     ge_lo:(Elt.t -> bool) -> le_hi:(Elt.t -> bool) -> t -> Elt.t option
-  (** The greatest element satisfying both bound predicates, or [None]. *)
+  (** The greatest element satisfying both bound predicates, or [None]:
+      one root-to-leaf descent, O(log n) pages.  (For the least element,
+      stop {!range_fold} at its first element.) *)
 
   val rewrite :
     ?meter:Meter.t ->

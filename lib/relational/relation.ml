@@ -176,18 +176,15 @@ let range_fold ?meter ?lo ?hi f acc r =
   | B b -> BT.range_fold ?meter ~ge_lo ~le_hi f acc b
   | C c -> CO.range_fold ?meter ~ge_lo ~le_hi f acc c
 
-(* B-trees descend to the endpoint; the other backends stop their range
-   fold at its first element, or keep the last one it offers. *)
+(* The first tuple in range ends the range fold at once; on a B-tree that
+   fold descends only the children that can meet the lower bound, so it
+   reaches the first tuple along one root-to-leaf path.  The last tuple
+   needs its own B-tree descent, because the fold only walks forward. *)
 let range_first ?lo ?hi r =
-  match r.repr with
-  | B b ->
-      let (ge_lo, le_hi) = bound_tests ~lo ~hi in
-      BT.range_first ~ge_lo ~le_hi b
-  | L _ | A _ | T _ | C _ -> (
-      let exception First of Tuple.t in
-      match range_fold ?lo ?hi (fun () tup -> raise (First tup)) () r with
-      | () -> None
-      | exception First tup -> Some tup)
+  let exception First of Tuple.t in
+  match range_fold ?lo ?hi (fun () tup -> raise (First tup)) () r with
+  | () -> None
+  | exception First tup -> Some tup
 
 let range_last ?lo ?hi r =
   match r.repr with

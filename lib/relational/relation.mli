@@ -72,8 +72,8 @@ val range : ?meter:Fdb_persistent.Meter.t -> ?lo:bound -> ?hi:bound -> t -> Tupl
 
 val range_first : ?lo:bound -> ?hi:bound -> t -> Tuple.t option
 (** The tuple with the least key within the bounds, or [None] for an
-    empty range.  B-trees descend one root-to-leaf path, O(log n); the
-    other backends stop their {!range_fold} at its first tuple. *)
+    empty range: {!range_fold} stopped at its first tuple, which on a
+    B-tree is one root-to-leaf path, O(log n). *)
 
 val range_last : ?lo:bound -> ?hi:bound -> t -> Tuple.t option
 (** The tuple with the greatest key within the bounds, or [None].

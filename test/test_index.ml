@@ -274,7 +274,7 @@ let gen_case =
 
 let prop_indexed_matches_plain =
   QCheck2.Test.make
-    ~name:"indexed executor == plain interpreter (4 backends)" ~count:250
+    ~name:"indexed executor == plain interpreter (4 backends)" ~count:350
     gen_case (fun (keys, where, kind) ->
       let tuples = List.map tup keys in
       List.for_all

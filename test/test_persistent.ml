@@ -407,9 +407,17 @@ let prop_btree_range_endpoints branching =
       let folded =
         List.rev (IntBt.range_fold ~ge_lo ~le_hi (fun acc x -> x :: acc) [] t)
       in
+      (* The least element is [range_fold] stopped at its first element,
+         as [Relation.range_first] takes it. *)
+      let first =
+        let exception First of int in
+        match IntBt.range_fold ~ge_lo ~le_hi (fun () x -> raise (First x)) () t with
+        | () -> None
+        | exception First x -> Some x
+      in
       let last = List.fold_left (fun _ x -> Some x) None expected in
       folded = expected
-      && IntBt.range_first ~ge_lo ~le_hi t = List.nth_opt expected 0
+      && first = List.nth_opt expected 0
       && IntBt.range_last ~ge_lo ~le_hi t = last)
 
 let test_btree_page_sharing_figure_2_2 () =

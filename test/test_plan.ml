@@ -376,7 +376,7 @@ let naive_updated_rows db where value =
 
 let prop_planner_matches_naive =
   QCheck2.Test.make ~name:"planned executor == naive full scan (4 backends)"
-    ~count:300 gen_case (fun (keys, where, kind) ->
+    ~count:600 gen_case (fun (keys, where, kind) ->
       let tuples = List.map tup keys in
       List.for_all
         (fun backend ->
